@@ -87,8 +87,20 @@ class ByteReader {
     return out;
   }
 
-  Result<std::vector<std::string>> str_vec() {
+  /// Read an element count, rejecting one the remaining bytes cannot hold
+  /// when each element takes at least `min_bytes` (>= 1) on the wire, so a
+  /// caller may reserve(count) without trusting the peer.
+  Result<std::uint32_t> count(std::size_t min_bytes) {
     auto n = u32();
+    if (!n) return n.error();
+    if (*n > remaining() / min_bytes) {
+      return Error{Errc::protocol_error, "element count exceeds payload"};
+    }
+    return n;
+  }
+
+  Result<std::vector<std::string>> str_vec() {
+    auto n = count(sizeof(std::uint32_t));
     if (!n) return n.error();
     std::vector<std::string> out;
     out.reserve(*n);
@@ -101,7 +113,7 @@ class ByteReader {
   }
 
   Result<std::vector<double>> f64_vec() {
-    auto n = u32();
+    auto n = count(sizeof(double));
     if (!n) return n.error();
     std::vector<double> out;
     out.reserve(*n);

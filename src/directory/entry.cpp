@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cstdlib>
+#include <iterator>
 
 namespace esg::directory {
 
@@ -28,6 +29,11 @@ const std::vector<std::string>& Entry::values(const std::string& attr) const {
   return it == attrs_.end() ? kEmpty : it->second;
 }
 
+std::vector<std::string> Entry::take_values(const std::string& attr) {
+  auto node = attrs_.extract(common::to_lower(attr));
+  return node ? std::move(node.mapped()) : std::vector<std::string>{};
+}
+
 void Entry::serialize(common::ByteWriter& w) const {
   w.str(dn_.to_string());
   w.u32(static_cast<std::uint32_t>(attrs_.size()));
@@ -50,7 +56,15 @@ common::Result<Entry> Entry::deserialize(common::ByteReader& r) {
     if (!attr) return attr.error();
     auto vals = r.str_vec();
     if (!vals) return vals.error();
-    for (auto& v : *vals) e.add(*attr, std::move(v));
+    if (vals->empty()) continue;
+    // Blocks whose names differ only in case merge, in wire order.
+    auto& slot = e.attrs_[common::to_lower(*attr)];
+    if (slot.empty()) {
+      slot = std::move(*vals);
+    } else {
+      slot.insert(slot.end(), std::make_move_iterator(vals->begin()),
+                  std::make_move_iterator(vals->end()));
+    }
   }
   return e;
 }

@@ -60,6 +60,9 @@ class Entry {
 
   const std::vector<std::string>& values(const std::string& attr) const;
 
+  /// Move an attribute's values out, dropping the attribute.
+  std::vector<std::string> take_values(const std::string& attr);
+
   const std::map<std::string, std::vector<std::string>>& attributes() const {
     return attrs_;
   }

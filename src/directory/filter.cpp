@@ -220,6 +220,21 @@ bool Filter::matches(const Entry& entry) const {
   return root_ && eval(*root_, entry);
 }
 
+const std::string* Filter::required_class() const {
+  const auto exact_class = [](const Node& n) {
+    return n.kind == Node::Kind::equals && n.attr == "objectclass" &&
+           n.value.find('*') == std::string::npos;
+  };
+  if (!root_) return nullptr;
+  if (exact_class(*root_)) return &root_->value;
+  if (root_->kind == Node::Kind::and_) {
+    for (const auto& c : root_->children) {
+      if (exact_class(*c)) return &c->value;
+    }
+  }
+  return nullptr;
+}
+
 std::string Filter::to_string() const {
   return root_ ? render(*root_) : "(objectclass=*)";
 }

@@ -24,6 +24,11 @@ class Filter {
 
   bool matches(const Entry& entry) const;
 
+  /// The objectclass value every match must hold, or nullptr.  Set when the
+  /// filter is an exact "(objectclass=v)" (no '*'), or an '&' with such a
+  /// direct child; the directory then draws candidates from its class index.
+  const std::string* required_class() const;
+
   std::string to_string() const;
 
   struct Node;  // implementation detail, defined in filter.cpp

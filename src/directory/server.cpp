@@ -7,6 +7,51 @@ using common::Error;
 using common::Result;
 using common::Status;
 
+namespace {
+
+bool in_scope(const std::string& key, const Dn& dn, const Dn& base,
+              Scope scope) {
+  switch (scope) {
+    case Scope::base:
+      return key == base.normalized();
+    case Scope::one:
+      return dn.depth() == base.depth() + 1 && dn.is_within(base);
+    case Scope::sub:
+      return dn.is_within(base);
+  }
+  return false;
+}
+
+}  // namespace
+
+void DirectoryServer::index(Tree::const_iterator it) {
+  for (const auto& cls : it->second.values("objectclass")) {
+    by_class_[cls].insert(it);
+  }
+}
+
+void DirectoryServer::unindex(Tree::const_iterator it,
+                              const std::vector<std::string>& classes) {
+  for (const auto& cls : classes) {
+    auto bucket = by_class_.find(cls);
+    if (bucket == by_class_.end()) continue;
+    bucket->second.erase(it);
+    if (bucket->second.empty()) by_class_.erase(bucket);
+  }
+}
+
+void DirectoryServer::reindex(Tree::const_iterator it,
+                              const std::vector<std::string>& old_classes) {
+  if (it->second.values("objectclass") == old_classes) return;
+  unindex(it, old_classes);
+  index(it);
+}
+
+void DirectoryServer::erase(Tree::iterator it) {
+  unindex(it, it->second.values("objectclass"));
+  entries_.erase(it);
+}
+
 Status DirectoryServer::add(Entry entry) {
   const std::string key = entry.dn().normalized();
   if (entries_.count(key)) {
@@ -19,7 +64,7 @@ Status DirectoryServer::add(Entry entry) {
                    "parent missing for " + entry.dn().to_string()};
     }
   }
-  entries_.emplace(key, std::move(entry));
+  index(entries_.emplace(key, std::move(entry)).first);
   return common::ok_status();
 }
 
@@ -33,7 +78,7 @@ Status DirectoryServer::ensure(Entry entry) {
   for (auto it = missing.rbegin(); it != missing.rend(); ++it) {
     Entry scaffold(*it);
     scaffold.add("objectclass", "organizationalUnit");
-    entries_.emplace(it->normalized(), std::move(scaffold));
+    index(entries_.emplace(it->normalized(), std::move(scaffold)).first);
   }
   if (entries_.count(entry.dn().normalized())) {
     return replace(entry);
@@ -46,7 +91,9 @@ Status DirectoryServer::replace(const Entry& entry) {
   if (it == entries_.end()) {
     return Error{Errc::not_found, "no entry: " + entry.dn().to_string()};
   }
+  const std::vector<std::string> classes = it->second.values("objectclass");
   it->second = entry;
+  reindex(it, classes);
   return common::ok_status();
 }
 
@@ -56,7 +103,9 @@ Status DirectoryServer::modify(const Dn& dn,
   if (it == entries_.end()) {
     return Error{Errc::not_found, "no entry: " + dn.to_string()};
   }
+  const std::vector<std::string> classes = it->second.values("objectclass");
   mutation(it->second);
+  reindex(it, classes);
   return common::ok_status();
 }
 
@@ -65,18 +114,18 @@ Status DirectoryServer::remove(const Dn& dn, bool recursive) {
   if (it == entries_.end()) {
     return Error{Errc::not_found, "no entry: " + dn.to_string()};
   }
-  std::vector<std::string> doomed;
-  for (const auto& [key, entry] : entries_) {
-    if (key != dn.normalized() && entry.dn().is_within(dn)) {
+  std::vector<Tree::iterator> doomed;
+  for (auto child = entries_.begin(); child != entries_.end(); ++child) {
+    if (child != it && child->second.dn().is_within(dn)) {
       if (!recursive) {
         return Error{Errc::invalid_argument,
                      "entry has children: " + dn.to_string()};
       }
-      doomed.push_back(key);
+      doomed.push_back(child);
     }
   }
-  for (const auto& key : doomed) entries_.erase(key);
-  entries_.erase(dn.normalized());
+  for (auto child : doomed) erase(child);
+  erase(it);
   return common::ok_status();
 }
 
@@ -88,27 +137,23 @@ Result<Entry> DirectoryServer::lookup(const Dn& dn) const {
   return it->second;
 }
 
-Result<std::vector<Entry>> DirectoryServer::search(const Dn& base, Scope scope,
-                                                   const Filter& filter) const {
+Result<std::vector<const Entry*>> DirectoryServer::search(
+    const Dn& base, Scope scope, const Filter& filter) const {
   if (!base.empty() && !entries_.count(base.normalized())) {
     return Error{Errc::not_found, "search base missing: " + base.to_string()};
   }
-  std::vector<Entry> out;
-  for (const auto& [key, entry] : entries_) {
-    bool in_scope = false;
-    switch (scope) {
-      case Scope::base:
-        in_scope = key == base.normalized();
-        break;
-      case Scope::one:
-        in_scope = entry.dn().depth() == base.depth() + 1 &&
-                   entry.dn().is_within(base);
-        break;
-      case Scope::sub:
-        in_scope = entry.dn().is_within(base);
-        break;
+  std::vector<const Entry*> out;
+  const auto visit = [&](const std::string& key, const Entry& entry) {
+    if (in_scope(key, entry.dn(), base, scope) && filter.matches(entry)) {
+      out.push_back(&entry);
     }
-    if (in_scope && filter.matches(entry)) out.push_back(entry);
+  };
+  if (const std::string* cls = filter.required_class()) {
+    auto bucket = by_class_.find(*cls);
+    if (bucket == by_class_.end()) return out;
+    for (auto it : bucket->second) visit(it->first, it->second);
+  } else {
+    for (const auto& [key, entry] : entries_) visit(key, entry);
   }
   return out;
 }

@@ -8,6 +8,7 @@
 
 #include <functional>
 #include <map>
+#include <set>
 #include <string>
 #include <vector>
 
@@ -21,6 +22,12 @@ enum class Scope { base, one, sub };
 
 class DirectoryServer {
  public:
+  DirectoryServer() = default;
+  // The class index holds iterators into the tree, which a copy would
+  // leave pointing into the original.  (This also suppresses moves.)
+  DirectoryServer(const DirectoryServer&) = delete;
+  DirectoryServer& operator=(const DirectoryServer&) = delete;
+
   /// Add an entry.  The parent must already exist (except depth-1 roots).
   common::Status add(Entry entry);
 
@@ -43,16 +50,36 @@ class DirectoryServer {
   common::Result<Entry> lookup(const Dn& dn) const;
 
   /// LDAP search: entries under `base` at `scope` matching `filter`,
-  /// returned in normalized-DN order (deterministic).
-  common::Result<std::vector<Entry>> search(const Dn& base, Scope scope,
-                                            const Filter& filter) const;
+  /// returned in normalized-DN order (deterministic).  A filter that
+  /// requires one objectclass (Filter::required_class) visits only that
+  /// class's entries; any other filter walks the whole tree.  The results
+  /// point into the tree and stay valid until the next write.
+  common::Result<std::vector<const Entry*>> search(const Dn& base, Scope scope,
+                                                   const Filter& filter) const;
 
   std::size_t size() const { return entries_.size(); }
 
  private:
-  // Keyed by normalized DN; lexicographic order keeps subtrees contiguous
-  // only per-branch, so searches still scan — fine at catalog scale.
-  std::map<std::string, Entry> entries_;
+  // Keyed by normalized DN.  Most-specific-first DNs keep a subtree's
+  // entries apart in key order, so scope alone cannot narrow a search.
+  using Tree = std::map<std::string, Entry>;
+  struct ByKey {
+    bool operator()(Tree::const_iterator a, Tree::const_iterator b) const {
+      return a->first < b->first;
+    }
+  };
+
+  void index(Tree::const_iterator it);
+  void unindex(Tree::const_iterator it, const std::vector<std::string>& classes);
+  /// Move an entry in the index after a write changed its objectclass.
+  void reindex(Tree::const_iterator it,
+               const std::vector<std::string>& old_classes);
+  void erase(Tree::iterator it);
+
+  Tree entries_;
+  // Equality index on objectclass (OpenLDAP's "index objectClass eq"):
+  // each value's entries, in normalized-DN order.
+  std::map<std::string, std::set<Tree::const_iterator, ByKey>> by_class_;
 };
 
 const char* scope_name(Scope scope);

@@ -121,7 +121,7 @@ void DirectoryService::dispatch(const std::string& method, Payload request,
     if (!entries) return reply(entries.error());
     ByteWriter w;
     w.u32(static_cast<std::uint32_t>(entries->size()));
-    for (const auto& e : *entries) e.serialize(w);
+    for (const Entry* e : *entries) e->serialize(w);
     return reply(w.take());
   }
   reply(Error{Errc::protocol_error, "unknown directory method: " + method});
@@ -206,7 +206,8 @@ void DirectoryClient::search(
             [done = std::move(done)](Result<Payload> r) {
               if (!r) return done(r.error());
               ByteReader reader(*r);
-              auto count = reader.u32();
+              // An entry is at least its DN's length and its attribute count.
+              auto count = reader.count(2 * sizeof(std::uint32_t));
               if (!count) return done(count.error());
               std::vector<Entry> entries;
               entries.reserve(*count);

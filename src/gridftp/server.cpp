@@ -30,7 +30,10 @@ void write_chain(ByteWriter& w,
 }
 
 Result<std::vector<security::Certificate>> read_chain(ByteReader& r) {
-  auto count = r.u32();
+  // Two string lengths, four 64-bit fields and the proxy flag.
+  constexpr std::size_t kMinCertBytes =
+      2 * sizeof(std::uint32_t) + 4 * sizeof(std::uint64_t) + 1;
+  auto count = r.count(kMinCertBytes);
   if (!count) return count.error();
   std::vector<security::Certificate> chain;
   chain.reserve(*count);

@@ -87,14 +87,14 @@ void ReplicaCatalog::remove_file_from_location(const std::string& collection,
                  std::move(done));
 }
 
-LocationInfo ReplicaCatalog::location_from_entry(const Entry& entry) {
+LocationInfo ReplicaCatalog::location_from_entry(Entry&& entry) {
   LocationInfo info;
   info.name = entry.get("name");
   info.hostname = entry.get("hostname");
   info.protocol = entry.get("protocol");
   info.path = entry.get("path");
   info.storage_type = entry.get("storagetype");
-  info.files = entry.values("filename");
+  info.files = entry.take_values("filename");
   return info;
 }
 
@@ -107,8 +107,8 @@ void ReplicaCatalog::list_locations(
                    if (!r) return done(r.error());
                    std::vector<LocationInfo> out;
                    out.reserve(r->size());
-                   for (const auto& e : *r) {
-                     out.push_back(location_from_entry(e));
+                   for (auto& e : *r) {
+                     out.push_back(location_from_entry(std::move(e)));
                    }
                    done(std::move(out));
                  });
@@ -124,9 +124,9 @@ void ReplicaCatalog::find_replicas(
         if (!r) return done(r.error());
         std::vector<Replica> out;
         out.reserve(r->size());
-        for (const auto& e : *r) {
+        for (auto& e : *r) {
           Replica rep;
-          rep.location = location_from_entry(e);
+          rep.location = location_from_entry(std::move(e));
           rep.url = rep.location.url_for(filename);
           out.push_back(std::move(rep));
         }
@@ -157,7 +157,7 @@ void ReplicaCatalog::list_files(
   client_.lookup(collection_dn(collection),
                  [done = std::move(done)](Result<Entry> r) {
                    if (!r) return done(r.error());
-                   done(r->values("filename"));
+                   done(r->take_values("filename"));
                  });
 }
 

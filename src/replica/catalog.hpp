@@ -106,7 +106,8 @@ class ReplicaCatalog {
   directory::Dn root_dn() const;
   directory::Dn collection_dn(const std::string& collection) const;
 
-  static LocationInfo location_from_entry(const directory::Entry& entry);
+  /// Consumes the entry: its filename list moves into `files`.
+  static LocationInfo location_from_entry(directory::Entry&& entry);
 
  private:
   directory::DirectoryClient client_;

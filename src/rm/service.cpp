@@ -123,7 +123,8 @@ void RequestManagerService::handle(const std::string& method, Payload request,
     return reply(Error{Errc::protocol_error, "unknown RM method: " + method});
   }
   ByteReader r(request);
-  auto count = r.u32();
+  // Each file is four length-prefixed strings.
+  auto count = r.count(4 * sizeof(std::uint32_t));
   if (!count) return reply(Error{Errc::protocol_error, "bad RM request"});
   std::vector<FileRequest> files;
   files.reserve(*count);

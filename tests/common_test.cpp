@@ -108,6 +108,13 @@ struct WildcardCase {
   bool match;
 };
 
+// Print a case by its pattern and text: gtest would otherwise dump the
+// struct's raw bytes, which hold pointers and so change from run to run,
+// and the dump lands in the listed (and CTest-discovered) test names.
+void PrintTo(const WildcardCase& c, std::ostream* os) {
+  *os << "'" << c.pattern << "' vs '" << c.text << "'";
+}
+
 class WildcardTest : public ::testing::TestWithParam<WildcardCase> {};
 
 TEST_P(WildcardTest, Matches) {
@@ -172,6 +179,33 @@ TEST(ByteBuf, TruncationIsError) {
   auto s = r.str();
   ASSERT_FALSE(s.ok());
   EXPECT_EQ(s.error().code, ec::Errc::protocol_error);
+}
+
+TEST(ByteBuf, CountBeyondPayloadIsErrorNotAllocation) {
+  // A 4-byte payload claiming 0xFFFFFFFF elements: reserving for that count
+  // would throw std::bad_alloc instead of reporting a bad payload.
+  ec::ByteWriter w;
+  w.u32(0xFFFFFFFFu);
+  ec::ByteReader strings(w.bytes());
+  auto sv = strings.str_vec();
+  ASSERT_FALSE(sv.ok());
+  EXPECT_EQ(sv.error().code, ec::Errc::protocol_error);
+  ec::ByteReader doubles(w.bytes());
+  auto dv = doubles.f64_vec();
+  ASSERT_FALSE(dv.ok());
+  EXPECT_EQ(dv.error().code, ec::Errc::protocol_error);
+}
+
+TEST(ByteBuf, CountAcceptsExactlyWhatRemainingBytesHold) {
+  ec::ByteWriter w;
+  w.u32(3);
+  w.raw("twelve bytes", 12);
+  ec::ByteReader fits(w.bytes());
+  auto n = fits.count(4);
+  ASSERT_TRUE(n.ok());
+  EXPECT_EQ(*n, 3u);
+  ec::ByteReader too_many(w.bytes());
+  EXPECT_FALSE(too_many.count(5).ok());
 }
 
 TEST(ByteBuf, Fnv1aStableAndSensitive) {

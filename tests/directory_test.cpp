@@ -2,6 +2,7 @@
 // and evaluation, the server tree, and the RPC-served client.
 #include <gtest/gtest.h>
 
+#include "common/rng.hpp"
 #include "directory/dn.hpp"
 #include "directory/entry.hpp"
 #include "directory/filter.hpp"
@@ -26,6 +27,12 @@ ed::Filter filter(const std::string& s) {
   auto f = ed::Filter::parse(s);
   EXPECT_TRUE(f.ok()) << s << ": " << (f.ok() ? "" : f.error().message);
   return *f;
+}
+
+std::vector<std::string> dns_of(const std::vector<const ed::Entry*>& entries) {
+  std::vector<std::string> out;
+  for (const auto* e : entries) out.push_back(e->dn().normalized());
+  return out;
 }
 
 }  // namespace
@@ -99,6 +106,33 @@ TEST(Entry, SerializeRoundTrip) {
   EXPECT_EQ(back->values("filename"), e.values("filename"));
 }
 
+TEST(Entry, DeserializeMergesCaseVariantBlocksInWireOrder) {
+  ec::ByteWriter w;
+  w.str("lc=co2,o=grid");
+  w.u32(3);
+  w.str("FileName");
+  w.str_vec({"jan.ncx", "feb.ncx"});
+  w.str("empty");
+  w.str_vec({});
+  w.str("filename");
+  w.str_vec({"mar.ncx"});
+  ec::ByteReader r(w.bytes());
+  auto e = ed::Entry::deserialize(r);
+  ASSERT_TRUE(e.ok());
+  ASSERT_EQ(e->attributes().size(), 1u);  // an empty block adds nothing
+  EXPECT_EQ(e->values("filename"),
+            (std::vector<std::string>{"jan.ncx", "feb.ncx", "mar.ncx"}));
+}
+
+TEST(Entry, TakeValuesMovesThemOutAndDropsTheAttribute) {
+  ed::Entry e(dn("loc=x,o=grid"));
+  e.add("filename", "a.ncx").add("filename", "b.ncx");
+  EXPECT_EQ(e.take_values("FILENAME"),
+            (std::vector<std::string>{"a.ncx", "b.ncx"}));
+  EXPECT_FALSE(e.has("filename"));
+  EXPECT_TRUE(e.take_values("filename").empty());
+}
+
 // ---------- Filter ----------
 
 TEST(Filter, SimpleEquality) {
@@ -162,6 +196,24 @@ TEST(Filter, RoundTripToString) {
   EXPECT_TRUE(f2.matches(e));
 }
 
+TEST(Filter, RequiredClassOnlyForExactObjectclassEquality) {
+  const auto required = [](const std::string& text) -> std::string {
+    const ed::Filter f = filter(text);  // the result points into it
+    const std::string* cls = f.required_class();
+    return cls ? *cls : "(none)";
+  };
+  EXPECT_EQ(required("(objectClass=location)"), "location");
+  EXPECT_EQ(required("(&(filename=a)(objectclass=Location))"), "Location");
+  EXPECT_EQ(required("(&(objectclass=a)(objectclass=b))"), "a");
+  EXPECT_EQ(required("(objectclass=loc*)"), "(none)");
+  EXPECT_EQ(required("(objectclass=*)"), "(none)");
+  EXPECT_EQ(required("(|(objectclass=a)(objectclass=b))"), "(none)");
+  EXPECT_EQ(required("(!(objectclass=a))"), "(none)");
+  EXPECT_EQ(required("(&(|(objectclass=a)))"), "(none)");  // not a direct child
+  EXPECT_EQ(required("(name=location)"), "(none)");
+  EXPECT_EQ(ed::Filter::match_all().required_class(), nullptr);
+}
+
 // ---------- Server ----------
 
 class ServerTest : public ::testing::Test {
@@ -217,7 +269,7 @@ TEST_F(ServerTest, SearchScopes) {
                              ed::Filter::match_all());
   ASSERT_TRUE(base.ok());
   ASSERT_EQ(base->size(), 1u);
-  EXPECT_EQ(base->front().get("objectclass"), "replicacatalog");
+  EXPECT_EQ(base->front()->get("objectclass"), "replicacatalog");
 }
 
 TEST_F(ServerTest, SearchWithFilter) {
@@ -225,7 +277,7 @@ TEST_F(ServerTest, SearchWithFilter) {
                              filter("(name=co2-1998)"));
   ASSERT_TRUE(hits.ok());
   ASSERT_EQ(hits->size(), 1u);
-  EXPECT_EQ(hits->front().get("name"), "co2-1998");
+  EXPECT_EQ(hits->front()->get("name"), "co2-1998");
 }
 
 TEST_F(ServerTest, SearchMissingBaseFails) {
@@ -249,6 +301,138 @@ TEST_F(ServerTest, RemoveLeafAndSubtree) {
   EXPECT_TRUE(server_.remove(dn("lc=co2-1998,rc=esg,o=grid")).ok());
   EXPECT_TRUE(server_.remove(dn("rc=esg,o=grid"), /*recursive=*/true).ok());
   EXPECT_EQ(server_.size(), 1u);  // only o=grid remains
+}
+
+TEST_F(ServerTest, ClassIndexFollowsModifyAndRecursiveRemove) {
+  const auto classed = [this](const std::string& cls) {
+    auto r = server_.search(dn("o=grid"), ed::Scope::sub,
+                            filter("(objectclass=" + cls + ")"));
+    EXPECT_TRUE(r.ok());
+    return r.ok() ? dns_of(*r) : std::vector<std::string>{};
+  };
+  ASSERT_TRUE(server_
+                  .modify(dn("lc=co2-1999,rc=esg,o=grid"),
+                          [](ed::Entry& e) { e.set("objectclass", "location"); })
+                  .ok());
+  EXPECT_EQ(classed("location"),
+            std::vector<std::string>{"lc=co2-1999,rc=esg,o=grid"});
+  EXPECT_EQ(classed("logicalcollection"),
+            std::vector<std::string>{"lc=co2-1998,rc=esg,o=grid"});
+  ASSERT_TRUE(server_.remove(dn("rc=esg,o=grid"), /*recursive=*/true).ok());
+  EXPECT_TRUE(classed("location").empty());
+  EXPECT_TRUE(classed("logicalcollection").empty());
+  EXPECT_TRUE(classed("replicacatalog").empty());
+  EXPECT_EQ(classed("organization"), std::vector<std::string>{"o=grid"});
+}
+
+// A seeded random walk of writes over a small namespace, so that adds
+// collide, replaces and modifies move entries between classes, and
+// recursive removes drop whole subtrees.  After every step each search must
+// return exactly what Filter::matches keeps of a match_all search over the
+// same base and scope: the same entries in the same order.
+TEST(DirectoryIndex, SearchAgreesWithFullWalkUnderRandomWrites) {
+  std::vector<ed::Dn> names = {dn("o=grid")};
+  for (const char* rc : {"a", "b"}) {
+    const ed::Dn catalog = dn("o=grid").child("rc", rc);
+    names.push_back(catalog);
+    for (const char* lc : {"c0", "c1"}) {
+      const ed::Dn collection = catalog.child("lc", lc);
+      names.push_back(collection);
+      for (const char* leaf : {"x0", "x1"}) {
+        names.push_back(collection.child("loc", leaf));
+        names.push_back(collection.child("lf", leaf));
+      }
+    }
+  }
+  const std::vector<std::string> classes = {
+      "location", "Location", "logicalfile", "logicalcollection",
+      "organizationalUnit"};
+  const std::vector<std::string> files = {"f0", "f1", "f2"};
+  const std::vector<ed::Filter> filters = {
+      filter("(objectclass=location)"),
+      filter("(objectclass=Location)"),
+      filter("(objectclass=organizationalUnit)"),
+      filter("(&(objectclass=location)(filename=f1))"),
+      filter("(&(filename=f0)(objectclass=logicalfile))"),
+      filter("(objectclass=nosuch)"),
+      // These walk the whole tree.
+      filter("(objectclass=loc*)"),
+      filter("(objectclass=*)"),
+      filter("(|(objectclass=location)(objectclass=logicalfile))"),
+      filter("(!(objectclass=location))"),
+      filter("(filename=f2)"),
+  };
+
+  ec::Rng rng(20010301);
+  const auto pick = [&rng](const auto& v) -> const auto& {
+    return v[rng.uniform_int(v.size())];
+  };
+  const auto random_entry = [&](const ed::Dn& name) {
+    ed::Entry e(name);
+    // Zero to two classes, possibly the same one twice.
+    for (auto n = rng.uniform_int(3); n > 0; --n) {
+      e.add("objectClass", pick(classes));
+    }
+    if (rng.uniform_int(2) == 1) e.add("filename", pick(files));
+    return e;
+  };
+  const auto classes_of = [](const ed::DirectoryServer& server,
+                             const ed::Dn& name) {
+    auto e = server.lookup(name);
+    return e ? e->values("objectclass") : std::vector<std::string>{};
+  };
+
+  ed::DirectoryServer server;
+  int class_moves = 0;
+  for (int step = 0; step < 300; ++step) {
+    const ed::Dn& name = pick(names);
+    const bool existed = server.exists(name);
+    const auto before = classes_of(server, name);
+    switch (rng.uniform_int(5)) {
+      case 0: (void)server.add(random_entry(name)); break;
+      case 1: (void)server.ensure(random_entry(name)); break;
+      case 2: (void)server.replace(random_entry(name)); break;
+      case 3:
+        (void)server.modify(name, [&](ed::Entry& e) {
+          switch (rng.uniform_int(4)) {
+            case 0: e.set("objectclass", pick(classes)); break;
+            case 1: e.add("objectclass", pick(classes)); break;
+            case 2: e.remove_attr("objectclass"); break;
+            default: e.remove_value("objectclass", pick(classes)); break;
+          }
+        });
+        break;
+      default: (void)server.remove(name, /*recursive=*/true); break;
+    }
+    if (existed && server.exists(name) && classes_of(server, name) != before) {
+      ++class_moves;
+    }
+
+    auto all = server.search(ed::Dn(), ed::Scope::sub, ed::Filter::match_all());
+    ASSERT_TRUE(all.ok());
+    std::vector<ed::Dn> bases = {ed::Dn()};
+    for (const auto* e : *all) bases.push_back(e->dn());
+    for (const auto& base : bases) {
+      for (auto scope : {ed::Scope::base, ed::Scope::one, ed::Scope::sub}) {
+        auto in_scope = server.search(base, scope, ed::Filter::match_all());
+        ASSERT_TRUE(in_scope.ok());
+        for (const auto& f : filters) {
+          std::vector<const ed::Entry*> expected;
+          for (const auto* e : *in_scope) {
+            if (f.matches(*e)) expected.push_back(e);
+          }
+          auto got = server.search(base, scope, f);
+          ASSERT_TRUE(got.ok());
+          ASSERT_EQ(dns_of(*got), dns_of(expected))
+              << "step " << step << ", base '" << base.to_string()
+              << "', scope " << ed::scope_name(scope) << ", filter "
+              << f.to_string();
+          ASSERT_EQ(*got, expected);  // the stored entries themselves
+        }
+      }
+    }
+  }
+  EXPECT_GT(class_moves, 20);
 }
 
 // ---------- RPC-served directory ----------

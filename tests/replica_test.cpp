@@ -84,6 +84,25 @@ TEST(ReplicaCatalog, Fig6FindReplicasPartialVsComplete) {
   EXPECT_TRUE(checked);
 }
 
+TEST(ReplicaCatalog, FindReplicasCarriesEachLocationsFullFileList) {
+  Fig6 f;
+  bool checked = false;
+  f.catalog.find_replicas(
+      "CO2 measurements 1998", "jan.ncx",
+      [&](ec::Result<std::vector<er::Replica>> r) {
+        ASSERT_TRUE(r.ok());
+        ASSERT_EQ(r->size(), 2u);
+        EXPECT_EQ((*r)[0].location.name, "jupiter-isi");
+        EXPECT_EQ((*r)[0].location.files,
+                  std::vector<std::string>{"jan.ncx"});
+        EXPECT_EQ((*r)[1].location.name, "sprite-llnl");
+        EXPECT_EQ((*r)[1].location.files, f.files);
+        checked = true;
+      });
+  f.grid.sim.run();
+  EXPECT_TRUE(checked);
+}
+
 TEST(ReplicaCatalog, MissingFileReportsNotFound) {
   Fig6 f;
   bool checked = false;
