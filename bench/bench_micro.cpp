@@ -4,9 +4,7 @@
 // can push per wall-clock second.
 #include <benchmark/benchmark.h>
 
-#include <algorithm>
 #include <functional>
-#include <memory>
 #include <vector>
 
 #include "climate/model.hpp"
@@ -55,108 +53,11 @@ static void BM_EventLoopThroughput(benchmark::State& state) {
 }
 BENCHMARK(BM_EventLoopThroughput);
 
-namespace {
-
-// The binary-heap event queue sim::Simulation used before the calendar
-// queue, replicated here (same Event payload, same lazy-cancel purge
-// heuristic) so the heap-vs-calendar comparison runs inside one binary on
-// identical workloads instead of across commits.
-class LegacyHeapQueue {
- public:
-  std::shared_ptr<bool> schedule_after(common::SimDuration delay,
-                                       std::function<void()> fn) {
-    auto alive = std::make_shared<bool>(true);
-    queue_.push_back(Event{now_ + delay, next_seq_++, std::move(fn), alive});
-    std::push_heap(queue_.begin(), queue_.end(), later);
-    if (queue_.size() >= 64 && 3 * cancelled_ > 2 * queue_.size()) purge();
-    return alive;
-  }
-
-  static void cancel(std::shared_ptr<bool>& handle, std::uint64_t& counter) {
-    if (handle && *handle) {
-      *handle = false;
-      ++counter;
-    }
-  }
-  std::uint64_t& cancelled() { return cancelled_; }
-
-  bool step() {
-    while (!queue_.empty()) {
-      std::pop_heap(queue_.begin(), queue_.end(), later);
-      Event ev = std::move(queue_.back());
-      queue_.pop_back();
-      if (!*ev.alive) {
-        if (cancelled_ > 0) --cancelled_;
-        continue;
-      }
-      now_ = ev.at;
-      ++fired_;
-      ev.fn();
-      return true;
-    }
-    return false;
-  }
-
-  std::uint64_t fired() const { return fired_; }
-  common::SimTime now() const { return now_; }
-
- private:
-  struct Event {
-    common::SimTime at;
-    std::uint64_t seq;
-    std::function<void()> fn;
-    std::shared_ptr<bool> alive;
-  };
-  static bool later(const Event& a, const Event& b) {
-    if (a.at != b.at) return a.at > b.at;
-    return a.seq > b.seq;
-  }
-  void purge() {
-    std::erase_if(queue_, [](const Event& e) { return !*e.alive; });
-    std::make_heap(queue_.begin(), queue_.end(), later);
-    cancelled_ = 0;
-  }
-
-  std::vector<Event> queue_;
-  common::SimTime now_ = 0;
-  std::uint64_t next_seq_ = 0;
-  std::uint64_t fired_ = 0;
-  std::uint64_t cancelled_ = 0;
-};
-
-}  // namespace
-
 // Schedule/cancel/fire mix at a steady population of `range(0)` pending
 // events — the shape of 10k-100k concurrent transfer completions with
 // rescheduling churn.  Each iteration cancels one random event, schedules
-// its replacement, and fires the minimum.  Compare BM_EventQueueHeap (the
-// pre-calendar O(log n) heap) with BM_EventQueueCalendar (the production
-// calendar queue): identical rng seeds, identical decision sequences.
-static void BM_EventQueueHeap(benchmark::State& state) {
-  const int n = static_cast<int>(state.range(0));
-  LegacyHeapQueue queue;
-  common::Rng rng(97);
-  std::vector<std::shared_ptr<bool>> handles(static_cast<std::size_t>(n));
-  const std::function<void()> noop = [] {};
-  for (auto& h : handles) {
-    h = queue.schedule_after(
-        1 + static_cast<common::SimDuration>(rng.uniform_int(1'000'000'000)),
-        noop);
-  }
-  for (auto _ : state) {
-    auto& victim = handles[rng.uniform_int(handles.size())];
-    LegacyHeapQueue::cancel(victim, queue.cancelled());
-    victim = queue.schedule_after(
-        1 + static_cast<common::SimDuration>(rng.uniform_int(1'000'000'000)),
-        noop);
-    queue.step();
-  }
-  state.SetItemsProcessed(state.iterations());
-  benchmark::DoNotOptimize(queue.fired());
-}
-BENCHMARK(BM_EventQueueHeap)->Arg(10'000)->Arg(100'000);
-
-static void BM_EventQueueCalendar(benchmark::State& state) {
+// its replacement, and fires the minimum.
+static void BM_EventQueue(benchmark::State& state) {
   const int n = static_cast<int>(state.range(0));
   sim::Simulation sim;
   common::Rng rng(97);
@@ -179,7 +80,7 @@ static void BM_EventQueueCalendar(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations());
   benchmark::DoNotOptimize(sim.events_fired());
 }
-BENCHMARK(BM_EventQueueCalendar)->Arg(10'000)->Arg(100'000);
+BENCHMARK(BM_EventQueue)->Arg(10'000)->Arg(100'000);
 
 static void BM_FilterParse(benchmark::State& state) {
   const std::string text =

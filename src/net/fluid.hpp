@@ -35,8 +35,8 @@
 //    surfaced at every poll tick, one shared next-completion event over the
 //    observed set.  A callback-free transfer ("headless") is integrated
 //    lazily against its own clock and completes through a per-transfer event
-//    in the simulation's calendar queue, so a million idle flows cost
-//    nothing per touch.  You pay per touch only for what you watch.
+//    in the simulation's event queue, so a million idle flows cost nothing
+//    per touch.  You pay per touch only for what you watch.
 //  * Incremental reallocation — a rates-dirty flag plus per-component dirty
 //    flags track whether any flow/cap/capacity/background changed since the
 //    last solve.  Poll ticks and pure-progress touches integrate byte

@@ -226,9 +226,6 @@ struct RequestManager::Worker : std::enable_shared_from_this<Worker> {
                               std::to_string(stage_attempts) + " attempts"});
     }
     ++stage_attempts;
-    const auto timeout = policy.attempt_timeout > 0
-                             ? policy.attempt_timeout
-                             : job->options.stage_timeout;
     auto self = shared_from_this();
     hrm_client->stage(
         replicas.front().url.path, track,
@@ -258,7 +255,7 @@ struct RequestManager::Worker : std::enable_shared_from_this<Worker> {
           self->sim().schedule_after(delay,
                                      [self] { self->attempt_stage(); });
         },
-        timeout);
+        policy.attempt_timeout);
   }
 
   // Step 4b: GridFTP get through the reliability plugin, alternates ready.

@@ -46,11 +46,11 @@ struct RequestOptions {
   gridftp::TransferOptions transfer;
   gridftp::ReliabilityOptions reliability;
   common::SimDuration poll_interval = 2 * common::kSecond;  // size polling
-  common::SimDuration stage_timeout = 30 * common::kMinute;
-  /// Retry policy for HRM stage requests.  stage_timeout above stays the
-  /// per-attempt RPC timeout whenever stage_retry.attempt_timeout is 0.
+  /// Retry policy for HRM stage requests.  attempt_timeout is each stage
+  /// RPC's timeout, so it must stay positive.
   common::RetryPolicy stage_retry = {.max_attempts = 3,
-                                     .retry_backoff = 15 * common::kSecond};
+                                     .retry_backoff = 15 * common::kSecond,
+                                     .attempt_timeout = 30 * common::kMinute};
   std::size_t max_concurrent = 16;  // worker threads, paper-style
 };
 

@@ -76,7 +76,7 @@ ScheduleRun run_schedule(const FaultSchedule& schedule,
     // A crashed HRM loses in-flight stage RPCs; the default 30-minute
     // per-attempt stage timeout would park the tape worker far past the
     // liveness cap, so detect and retry within a minute instead.
-    opts.stage_timeout = 60 * kSecond;
+    opts.stage_retry.attempt_timeout = 60 * kSecond;
     opts.stage_retry.max_attempts = 12;
     opts.stage_retry.retry_backoff = 5 * kSecond;
     opts.max_concurrent = 4;

@@ -1,15 +1,11 @@
 #include "sim/simulation.hpp"
 
 #include <algorithm>
-#include <bit>
-#include <limits>
 #include <utility>
 
 namespace esg::sim {
 
 Simulation::Simulation(std::uint64_t seed) : rng_(seed) {
-  buckets_.resize(kMinBuckets);
-  year_end_ = width_;
   depth_gauge_ = &metrics_.gauge("sim_queue_depth");
   purge_counter_ = &metrics_.counter("sim_queue_purges");
   depth_gauge_->set(0.0);
@@ -24,134 +20,32 @@ Simulation::Simulation(std::uint64_t seed) : rng_(seed) {
 }
 
 void Simulation::push_event(Event event) {
-  maybe_grow();
-  // Invariant: every live event's time is >= the cursor's window start.  A
-  // push into the past of the rotation (legal after run_until advanced the
-  // cursor beyond now_) rewinds the cursor to the event's own window —
-  // rewinding only re-scans buckets, it can never skip one.
-  if (event.at < year_end_ - width_) {
-    year_end_ = (event.at / width_ + 1) * width_;
-    cursor_ = bucket_index(event.at);
-  }
-  auto& bucket = buckets_[bucket_index(event.at)];
-  // Buckets are sorted descending by (time, seq): the earliest event sits at
-  // the back for O(1) pop, and a fresh event (max seq so far) lands at the
-  // front of its equal-time group so ties still fire in schedule order.
-  const auto it = std::lower_bound(
-      bucket.begin(), bucket.end(), event,
-      [](const Event& a, const Event& b) { return event_before(b, a); });
-  bucket.insert(it, std::move(event));
-  ++stored_;
-  depth_gauge_->set(static_cast<double>(stored_));
-  if (stored_ >= purge_policy_.min_queue &&
-      purge_policy_.dead_weight * *cancelled_ >
-          purge_policy_.size_weight * stored_) {
+  queue_.push_back(std::move(event));
+  std::push_heap(queue_.begin(), queue_.end(), fires_later);
+  depth_gauge_->set(static_cast<double>(queue_.size()));
+  if (queue_.size() >= kPurgeMinQueue &&
+      kPurgeDeadWeight * *cancelled_ > kPurgeSizeWeight * queue_.size()) {
     purge_cancelled();
   }
 }
 
 void Simulation::purge_cancelled() {
-  stored_ = 0;
-  for (auto& bucket : buckets_) {
-    std::erase_if(bucket, [](const Event& e) { return e.alive && !*e.alive; });
-    stored_ += bucket.size();
-  }
+  std::erase_if(queue_, [](const Event& e) { return !*e.alive; });
+  std::make_heap(queue_.begin(), queue_.end(), fires_later);
   *cancelled_ = 0;
   ++purges_;
   purge_counter_->add(1);
-  depth_gauge_->set(static_cast<double>(stored_));
-  if (buckets_.size() > kMinBuckets && stored_ * 4 < buckets_.size()) {
-    resize_calendar(std::max(kMinBuckets, std::bit_ceil(stored_ * 2 + 1)));
-  }
+  depth_gauge_->set(static_cast<double>(queue_.size()));
 }
 
-void Simulation::maybe_grow() {
-  if (buckets_.size() < kMaxBuckets &&
-      live_estimate() > buckets_.size() * 2) {
-    resize_calendar(std::min(kMaxBuckets, buckets_.size() * 2));
+bool Simulation::drop_cancelled_head() {
+  while (!queue_.empty() && !*queue_.front().alive) {
+    std::pop_heap(queue_.begin(), queue_.end(), fires_later);
+    queue_.pop_back();
+    if (*cancelled_ > 0) --*cancelled_;
   }
-}
-
-void Simulation::resize_calendar(std::size_t n_buckets) {
-  std::vector<Event> live;
-  live.reserve(stored_);
-  SimTime lo = std::numeric_limits<SimTime>::max();
-  SimTime hi = std::numeric_limits<SimTime>::min();
-  for (auto& bucket : buckets_) {
-    for (auto& e : bucket) {
-      if (e.alive && !*e.alive) {
-        if (*cancelled_ > 0) --*cancelled_;
-        continue;
-      }
-      lo = std::min(lo, e.at);
-      hi = std::max(hi, e.at);
-      live.push_back(std::move(e));
-    }
-  }
-  // Refit the bucket width so the live population spreads across the new
-  // year instead of clumping into a few buckets when the event span drifts.
-  if (live.size() >= 2 && hi > lo) {
-    width_ = std::max<SimDuration>(
-        1, (hi - lo) / static_cast<SimDuration>(n_buckets) + 1);
-  }
-  buckets_.assign(n_buckets, {});
-  const SimTime anchor = live.empty() ? now_ : lo;
-  year_end_ = (anchor / width_ + 1) * width_;
-  cursor_ = bucket_index(anchor);
-  // Descending (time, seq) order lets every event append at its bucket's
-  // back, keeping the rebuild linear.
-  std::sort(live.begin(), live.end(),
-            [](const Event& a, const Event& b) { return event_before(b, a); });
-  stored_ = live.size();
-  for (auto& e : live) {
-    buckets_[bucket_index(e.at)].push_back(std::move(e));
-  }
-  depth_gauge_->set(static_cast<double>(stored_));
-}
-
-bool Simulation::find_next() {
-  if (stored_ == 0) return false;
-  const std::size_t n = buckets_.size();
-  std::size_t advanced = 0;
-  while (true) {
-    auto& bucket = buckets_[cursor_];
-    while (!bucket.empty() && bucket.back().alive && !*bucket.back().alive) {
-      bucket.pop_back();
-      --stored_;
-      if (*cancelled_ > 0) --*cancelled_;
-    }
-    if (stored_ == 0) {
-      depth_gauge_->set(0.0);
-      return false;
-    }
-    if (!bucket.empty() && bucket.back().at < year_end_) return true;
-    cursor_ = (cursor_ + 1) & (n - 1);
-    year_end_ += width_;
-    if (++advanced >= n) return jump_to_min();
-  }
-}
-
-bool Simulation::jump_to_min() {
-  // A whole rotation found nothing due: the next event lies past a long
-  // empty stretch of simulated time.  Rather than spinning year after year,
-  // scan every bucket once and jump the cursor straight to the minimum.
-  const Event* best = nullptr;
-  for (auto& bucket : buckets_) {
-    while (!bucket.empty() && bucket.back().alive && !*bucket.back().alive) {
-      bucket.pop_back();
-      --stored_;
-      if (*cancelled_ > 0) --*cancelled_;
-    }
-    if (bucket.empty()) continue;
-    if (!best || event_before(bucket.back(), *best)) best = &bucket.back();
-  }
-  if (!best) {
-    depth_gauge_->set(0.0);
-    return false;
-  }
-  year_end_ = (best->at / width_ + 1) * width_;
-  cursor_ = bucket_index(best->at);
-  return true;
+  if (queue_.empty()) depth_gauge_->set(0.0);
+  return !queue_.empty();
 }
 
 EventHandle Simulation::schedule_at(SimTime at, std::function<void()> fn) {
@@ -201,10 +95,12 @@ EventHandle Simulation::start_telemetry(SimDuration period) {
     if (!*alive) return;
     telemetry_.sample_registry(metrics_, now_);
     alerts_.evaluate(now_);
-    // Re-arm only while the workload is still alive: when this tick was
-    // the last event in the queue the run is over, and a self-perpetuating
-    // sampler would keep run() from ever returning.
-    if (stored_ > 0) {
+    // Re-arm only while the workload is still alive: when no live event is
+    // left the run is over, and a self-perpetuating sampler would keep
+    // run() from ever returning.  Cancelled events stay queued until they
+    // surface, so drop them first: a dead timer far in the future must not
+    // keep the sampler ticking until its time.
+    if (drop_cancelled_head()) {
       if (auto t = weak_tick.lock()) {
         push_event(Event{now_ + period, next_seq_++, [t] { (*t)(); }, alive});
       }
@@ -217,12 +113,11 @@ EventHandle Simulation::start_telemetry(SimDuration period) {
 }
 
 bool Simulation::step() {
-  if (!find_next()) return false;
-  auto& bucket = buckets_[cursor_];
-  Event ev = std::move(bucket.back());
-  bucket.pop_back();
-  --stored_;
-  depth_gauge_->set(static_cast<double>(stored_));
+  if (!drop_cancelled_head()) return false;
+  std::pop_heap(queue_.begin(), queue_.end(), fires_later);
+  Event ev = std::move(queue_.back());
+  queue_.pop_back();
+  depth_gauge_->set(static_cast<double>(queue_.size()));
   assert(ev.at >= now_);
   now_ = ev.at;
   ++fired_;
@@ -236,9 +131,8 @@ void Simulation::run() {
 }
 
 void Simulation::run_until(SimTime deadline) {
-  while (find_next()) {
-    if (buckets_[cursor_].back().at > deadline) break;
-    step();  // re-runs find_next: O(1), the cursor is already positioned
+  while (drop_cancelled_head() && queue_.front().at <= deadline) {
+    step();
   }
   now_ = std::max(now_, deadline);
 }

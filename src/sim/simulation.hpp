@@ -7,23 +7,17 @@
 // sensors) run as callbacks inside one kernel; the paper's "multi-threaded
 // request manager" maps to concurrent sim processes, one per logical file.
 //
-// The queue is a bucketed *calendar queue* (Brown 1988) rather than a binary
-// heap: events hash into `buckets_[(at / width) % n]`, each bucket is kept
-// sorted so its earliest event sits at the back, and the dequeue cursor walks
-// the buckets like the days of a circulating calendar year.  With the bucket
-// count resized to track the live event population and the width fitted to
-// the observed event span, push and pop are O(1) amortised instead of the
-// heap's O(log n) — the difference that dominates at 100k concurrent
-// transfer-completion events (see bench_micro's event-queue benchmark).  The
-// pop order is *identical* to the heap's strict (time, sequence) order: the
-// calendar is a different index over the same total order, so flight-recorder
-// digests and manifest baselines replay byte-for-byte.
+// The queue is one std::vector kept as a binary heap (std::push_heap /
+// std::pop_heap) under the strict (time, sequence) order.  Sequence numbers
+// are unique, so no two events compare equal: the minimum is unique, and the
+// dequeue order is fixed by the schedule calls alone, whatever the heap's
+// internal layout.  That is what lets flight-recorder digests and manifest
+// baselines replay byte-for-byte.  Push and pop cost O(log n), bursts of
+// equal-time events included (DESIGN.md §13).
 //
 // Cancellation stays lazy: EventHandle::cancel flips a shared flag and the
-// dead event is skipped (or purged) later.  The purge heuristic — compact
-// when dead events outnumber live ones — is tunable via PurgePolicy so
-// cancel-heavy workloads (telemetry ticks, explorer watchdogs, completion
-// rescheduling storms) can trade memory for purge frequency.
+// dead event is skipped when it reaches the top of the heap, or compacted
+// away in bulk once dead events outnumber live ones 2:1.
 //
 // The kernel is deliberately single-threaded.  Parallelism in this codebase
 // lives one level up: the benchmark harness runs many independent
@@ -81,20 +75,6 @@ class EventHandle {
   std::shared_ptr<std::uint64_t> cancelled_;
 };
 
-/// When to compact lazily-cancelled events out of the calendar.  The purge
-/// fires on push once the queue holds at least `min_queue` events and
-/// `dead_weight * dead > size_weight * size` — the default 3/2 ratio purges
-/// when dead events outnumber live ones 2:1, the long-standing heuristic.
-/// Cancel-heavy workloads can lower the ratio (purge sooner, smaller queue)
-/// or raise `min_queue` (purge later, fewer compactions); either way total
-/// purge work stays linear in the number of cancellations because each purge
-/// requires a constant fraction of fresh dead events since the last one.
-struct PurgePolicy {
-  std::uint64_t dead_weight = 3;
-  std::uint64_t size_weight = 2;
-  std::size_t min_queue = 64;
-};
-
 class Simulation {
  public:
   explicit Simulation(std::uint64_t seed = 1);
@@ -126,14 +106,11 @@ class Simulation {
   /// queue drains.  Returns true if the predicate was satisfied.
   bool run_while_pending(const std::function<bool()>& pred);
 
-  /// Events currently stored (including lazily-cancelled ones not yet
-  /// purged), mirroring the pre-calendar `queue_.size()` semantics.
-  std::size_t pending_events() const { return stored_; }
+  /// Events currently queued, including lazily-cancelled ones not yet
+  /// dropped or purged.
+  std::size_t pending_events() const { return queue_.size(); }
   std::uint64_t events_fired() const { return fired_; }
 
-  /// Tune the lazy-cancel purge heuristic (see PurgePolicy).
-  void set_purge_policy(PurgePolicy policy) { purge_policy_ = policy; }
-  const PurgePolicy& purge_policy() const { return purge_policy_; }
   /// How many compaction passes the purge heuristic has run.
   std::uint64_t purges() const { return purges_; }
 
@@ -158,8 +135,9 @@ class Simulation {
   /// sampled into telemetry() and alerts() evaluates its rules — so every
   /// instrumented subsystem emits history, and alerts fire *during* the
   /// run, with zero call-site changes.  The tick samples once immediately,
-  /// then re-arms only while other events are pending, so a drained
-  /// workload still terminates run().  Cancel the handle to stop early.
+  /// then re-arms only while a live event is pending, so a drained
+  /// workload still terminates run() even with cancelled timers still
+  /// queued.  Cancel the handle to stop early.
   EventHandle start_telemetry(SimDuration period = common::kSecond);
 
  private:
@@ -170,53 +148,29 @@ class Simulation {
     std::shared_ptr<bool> alive;
   };
 
-  /// Strict total order all dequeues follow: (time, sequence).
-  static bool event_before(const Event& a, const Event& b) {
-    if (a.at != b.at) return a.at < b.at;
-    return a.seq < b.seq;
+  /// Heap comparator: true when `a` fires after `b` in the strict
+  /// (time, sequence) order all dequeues follow.  std::push_heap/pop_heap
+  /// keep the greatest element at the front, so the earliest event sits
+  /// there.
+  static bool fires_later(const Event& a, const Event& b) {
+    if (a.at != b.at) return a.at > b.at;
+    return a.seq > b.seq;
   }
 
-  std::size_t bucket_index(SimTime at) const {
-    return static_cast<std::size_t>(at / width_) & (buckets_.size() - 1);
-  }
-  bool step();  // fire one event; false if queue empty
+  bool step();  // fire one event; false if no live event is queued
   void push_event(Event event);
   void purge_cancelled();
-  /// Position the calendar cursor on the earliest live event, dropping
-  /// cancelled events found at bucket backs along the way.  Returns false
-  /// when no live event remains.  After a `true` return the next event is
-  /// `buckets_[cursor_].back()`.
-  bool find_next();
-  /// Full scan fallback when a whole calendar rotation found nothing in its
-  /// year window (a long empty stretch of simulated time): jump the cursor
-  /// straight to the global minimum.  Returns false when the calendar holds
-  /// no live event.
-  bool jump_to_min();
-  /// Grow/shrink the bucket array and refit the bucket width to the live
-  /// population (drops cancelled events as a side effect).
-  void resize_calendar(std::size_t n_buckets);
-  void maybe_grow();
-  std::size_t live_estimate() const {
-    const std::uint64_t dead = std::min<std::uint64_t>(*cancelled_, stored_);
-    return stored_ - static_cast<std::size_t>(dead);
-  }
+  /// Pop cancelled events off the top of the heap.  Returns false when no
+  /// live event remains; after a `true` return `queue_.front()` is the next
+  /// event to fire.
+  bool drop_cancelled_head();
 
   SimTime now_ = 0;
   std::uint64_t next_seq_ = 0;
   std::uint64_t fired_ = 0;
 
-  // Calendar state.  Each bucket is sorted descending by (time, seq) so the
-  // bucket's earliest event is popped O(1) from the back; `cursor_` and
-  // `year_end_` track the rotation (the bucket being drained and the upper
-  // time bound of its current year).  Invariant: no live event precedes the
-  // cursor's year window.
-  std::vector<std::vector<Event>> buckets_;
-  SimDuration width_ = common::kMillisecond;
-  std::size_t cursor_ = 0;
-  SimTime year_end_ = common::kMillisecond;
-  std::size_t stored_ = 0;  // events in buckets, including dead ones
+  std::vector<Event> queue_;  // binary heap under fires_later
 
-  PurgePolicy purge_policy_{};
   std::uint64_t purges_ = 0;
   // Dead events believed still queued; shared with every EventHandle.  An
   // over-count (cancel after fire) only triggers an early purge, which
@@ -232,8 +186,14 @@ class Simulation {
   obs::Gauge* depth_gauge_ = nullptr;      // sim_queue_depth
   obs::Counter* purge_counter_ = nullptr;  // sim_queue_purges
 
-  static constexpr std::size_t kMinBuckets = 16;
-  static constexpr std::size_t kMaxBuckets = std::size_t{1} << 22;
+  // Purge on push once the queue holds kPurgeMinQueue events and
+  // kPurgeDeadWeight * dead > kPurgeSizeWeight * size, i.e. dead events
+  // outnumber live ones 2:1.  Each purge needs a constant fraction of fresh
+  // dead events since the last one, so total purge work stays linear in the
+  // number of cancellations.
+  static constexpr std::size_t kPurgeMinQueue = 64;
+  static constexpr std::uint64_t kPurgeDeadWeight = 3;
+  static constexpr std::uint64_t kPurgeSizeWeight = 2;
 };
 
 }  // namespace esg::sim

@@ -2,8 +2,8 @@
 // against the retained reference water-filling implementation on randomized
 // topologies under churn (cap changes, resource down/up, flow additions,
 // capacity and background edits), the steady-state fast path (poll ticks
-// must never invoke the solver), mutation coalescing, and the simulation's
-// lazily-cancelled-event purge.
+// must never invoke the solver), mutation coalescing, and component
+// partitioning.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -532,102 +532,3 @@ TEST_P(FluidComponentChurn, EquivalenceUnderMergeSplitChurn) {
 
 INSTANTIATE_TEST_SUITE_P(RandomChurn, FluidComponentChurn,
                          ::testing::Range(1, 31));
-
-// ---------- simulation queue hygiene ----------
-
-TEST(SimulationQueue, LazyCancelledEventsArePurged) {
-  es::Simulation sim;
-  std::vector<es::EventHandle> handles;
-  handles.reserve(1000);
-  for (int i = 0; i < 1000; ++i) {
-    handles.push_back(
-        sim.schedule_at((i + 1) * kSecond, [] {}));
-  }
-  EXPECT_EQ(sim.pending_events(), 1000u);
-  for (auto& h : handles) h.cancel();
-  // The next push notices dead events outnumber live 2:1 and compacts.
-  sim.schedule_at(2000 * kSecond, [] {});
-  EXPECT_LT(sim.pending_events(), 16u);
-  // The survivor still fires.
-  std::uint64_t fired_before = sim.events_fired();
-  sim.run();
-  EXPECT_EQ(sim.events_fired(), fired_before + 1);
-  EXPECT_EQ(sim.now(), 2000 * kSecond);
-}
-
-TEST(SimulationQueue, PurgeKeepsLiveEventsAndOrder) {
-  es::Simulation sim;
-  std::vector<int> order;
-  std::vector<es::EventHandle> dead;
-  for (int i = 0; i < 300; ++i) {
-    const int at = i + 1;
-    if (i % 3 == 0) {
-      sim.schedule_at(at * kMillisecond, [&order, at] { order.push_back(at); });
-    } else {
-      dead.push_back(sim.schedule_at(at * kMillisecond, [] { FAIL(); }));
-    }
-  }
-  for (auto& h : dead) h.cancel();
-  sim.schedule_at(400 * kMillisecond, [&order] { order.push_back(400); });
-  sim.run();
-  ASSERT_EQ(order.size(), 101u);
-  EXPECT_TRUE(std::is_sorted(order.begin(), order.end()));
-  EXPECT_EQ(order.back(), 400);
-}
-
-TEST(SimulationQueue, PurgeWorkStaysLinearUnderCancelStorms) {
-  // Telemetry/explorer-style workload: waves of events scheduled and then
-  // cancelled wholesale, with a small set of long-lived survivors.  Total
-  // compaction work must stay linear in the number of cancellations — about
-  // one purge per wave, never one per cancel (the quadratic failure mode).
-  es::Simulation sim;
-  std::vector<es::EventHandle> survivors;
-  for (int i = 0; i < 100; ++i) {
-    survivors.push_back(sim.schedule_at((i + 1) * ec::kHour, [] {}));
-  }
-  constexpr int kWaves = 50;
-  constexpr int kPerWave = 1000;
-  for (int wave = 0; wave < kWaves; ++wave) {
-    std::vector<es::EventHandle> doomed;
-    doomed.reserve(kPerWave);
-    for (int i = 0; i < kPerWave; ++i) {
-      doomed.push_back(
-          sim.schedule_at((wave * kPerWave + i + 1) * kMillisecond, [] {}));
-    }
-    for (auto& h : doomed) h.cancel();
-  }
-  EXPECT_LE(sim.purges(), static_cast<std::uint64_t>(kWaves + 5))
-      << "purges must amortize to O(1) per wave of cancellations";
-  EXPECT_GE(sim.purges(), 1u);
-  EXPECT_LT(sim.pending_events(), 2u * kPerWave + 200)
-      << "dead events must not accumulate across waves";
-  // The survivors all still fire, in order.
-  std::uint64_t fired_before = sim.events_fired();
-  sim.run();
-  EXPECT_EQ(sim.events_fired(), fired_before + 100);
-}
-
-TEST(SimulationQueue, PurgePolicyIsTunable) {
-  es::Simulation sim;
-  // Defer compaction entirely: a huge min_queue means the storm below never
-  // crosses the threshold and every dead event is retained.
-  es::PurgePolicy lazy;
-  lazy.min_queue = 1'000'000;
-  sim.set_purge_policy(lazy);
-  EXPECT_EQ(sim.purge_policy().min_queue, 1'000'000u);
-
-  std::vector<es::EventHandle> doomed;
-  for (int i = 0; i < 10'000; ++i) {
-    doomed.push_back(sim.schedule_at((i + 1) * kMillisecond, [] {}));
-  }
-  for (auto& h : doomed) h.cancel();
-  sim.schedule_at(20 * kSecond, [] {});
-  EXPECT_EQ(sim.purges(), 0u);
-  EXPECT_GT(sim.pending_events(), 10'000u);
-
-  // Switch to an eager policy: the very next push compacts.
-  sim.set_purge_policy(es::PurgePolicy{100, 1, 16});
-  sim.schedule_at(21 * kSecond, [] {});
-  EXPECT_EQ(sim.purges(), 1u);
-  EXPECT_LT(sim.pending_events(), 16u);
-}

@@ -1,14 +1,25 @@
-// Unit tests for the discrete-event kernel and failure scheduling.
+// Unit tests for the discrete-event kernel (event order, cancellation, the
+// lazily-cancelled-event purge, a randomized queue property against a
+// reference model) and failure scheduling.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <deque>
+#include <functional>
+#include <map>
 #include <memory>
+#include <utility>
 #include <vector>
 
+#include "common/rng.hpp"
 #include "sim/failure.hpp"
 #include "sim/simulation.hpp"
 
 namespace es = esg::sim;
 namespace ec = esg::common;
+
+using ec::kMillisecond;
+using ec::kSecond;
 
 TEST(Simulation, EventsFireInTimeOrder) {
   es::Simulation sim;
@@ -182,6 +193,236 @@ TEST(Simulation, EventsFiredCounterAdvances) {
   for (int i = 0; i < 5; ++i) sim.schedule_at(i, [] {});
   sim.run();
   EXPECT_EQ(sim.events_fired(), 5u);
+}
+
+// ---------- event queue ----------
+
+namespace {
+
+// One scheduled series in the reference model below: a one-shot event, or
+// a schedule_every series with `remaining` fires left.
+struct ModelEvent {
+  es::EventHandle handle;
+  std::pair<ec::SimTime, std::uint64_t> key;  // (time, seq) while queued
+  bool queued = false;
+  ec::SimDuration period = 0;  // 0: one-shot
+  int remaining = 1;
+  ec::SimDuration spawn = -1;  // one-shot: child delay on fire, -1 for none
+  bool cancels_on_fire = false;
+};
+
+// Drives one Simulation with random schedule_at calls (bursts of equal
+// times included), schedule_every series, cancels (of fired handles too,
+// and from inside firing events), run_until and run_while_pending, against
+// a reference model: the live events keyed by (time, seq), with sequence
+// numbers handed out in the kernel's order, one per push.  Every fire must
+// be the model's minimum at the model's time.
+class EventQueueProperty : public ::testing::TestWithParam<int> {};
+
+TEST_P(EventQueueProperty, FireOrderIsLiveEventsSortedByTimeThenSeq) {
+  es::Simulation sim;
+  ec::Rng rng(static_cast<std::uint64_t>(GetParam()));
+  std::map<std::pair<ec::SimTime, std::uint64_t>, int> live;
+  std::uint64_t next_seq = 0;
+  std::deque<ModelEvent> events;
+  std::vector<int> fired, expected;
+
+  auto enqueue = [&](int id, ec::SimTime at) {
+    events[id].key = {at, next_seq++};
+    events[id].queued = true;
+    live.emplace(events[id].key, id);
+  };
+  auto cancel = [&](int id) {
+    events[id].handle.cancel();
+    events[id].remaining = 0;
+    if (events[id].queued) {
+      live.erase(events[id].key);
+      events[id].queued = false;
+    }
+  };
+  // Every firing event reports here first.
+  auto on_fire = [&](int id) {
+    fired.push_back(id);
+    if (live.empty()) {
+      expected.push_back(-1);
+      return;
+    }
+    const auto first = live.begin();
+    expected.push_back(first->second);
+    EXPECT_EQ(sim.now(), first->first.first);
+    events[first->second].queued = false;
+    live.erase(first);
+  };
+  // Time offsets from a small grid so many events tie.
+  auto delay = [&] {
+    return static_cast<ec::SimDuration>(rng.uniform_int(40)) * kMillisecond;
+  };
+  std::function<void(ec::SimTime)> add_one_shot = [&](ec::SimTime at) {
+    const int id = static_cast<int>(events.size());
+    auto& e = events.emplace_back();
+    if (rng.uniform() < 0.1) {
+      e.spawn = static_cast<ec::SimDuration>(rng.uniform_int(3)) * kMillisecond;
+    }
+    e.cancels_on_fire = rng.uniform() < 0.05;
+    e.handle = sim.schedule_at(at, [&, id] {
+      on_fire(id);
+      if (events[id].cancels_on_fire) {
+        cancel(static_cast<int>(rng.uniform_int(events.size())));
+      }
+      if (events[id].spawn >= 0) add_one_shot(sim.now() + events[id].spawn);
+    });
+    enqueue(id, at);
+  };
+  auto add_series = [&] {
+    const int id = static_cast<int>(events.size());
+    auto& e = events.emplace_back();
+    e.period = (1 + static_cast<ec::SimDuration>(rng.uniform_int(20))) *
+               kMillisecond;
+    e.remaining = 1 + static_cast<int>(rng.uniform_int(8));
+    e.handle = sim.schedule_every(e.period, [&, id] {
+      on_fire(id);
+      if (--events[id].remaining <= 0) return false;
+      enqueue(id, sim.now() + events[id].period);  // the kernel's re-arm
+      return true;
+    });
+    enqueue(id, sim.now() + e.period);
+  };
+
+  for (int op = 0; op < 300; ++op) {
+    const double r = rng.uniform();
+    if (r < 0.30) {
+      add_one_shot(sim.now() + delay());
+    } else if (r < 0.40) {  // a burst at one instant
+      const ec::SimTime at = sim.now() + delay();
+      const int n = 1 + static_cast<int>(rng.uniform_int(200));
+      for (int i = 0; i < n; ++i) add_one_shot(at);
+    } else if (r < 0.50) {
+      add_series();
+    } else if (r < 0.72) {  // one cancel, or a storm over a run of handles
+      if (events.empty()) continue;
+      const auto from = rng.uniform_int(events.size());
+      const std::uint64_t n =
+          r < 0.65 ? 1
+                   : std::min<std::uint64_t>(1 + rng.uniform_int(150),
+                                             events.size() - from);
+      for (std::uint64_t i = 0; i < n; ++i) {
+        cancel(static_cast<int>(from + i));
+      }
+    } else if (r < 0.88) {
+      const ec::SimTime deadline = sim.now() + delay();
+      sim.run_until(deadline);
+      EXPECT_EQ(sim.now(), deadline);
+      EXPECT_TRUE(live.empty() || live.begin()->first.first > deadline);
+    } else {
+      const std::size_t target = fired.size() + 1 + rng.uniform_int(30);
+      const bool met =
+          sim.run_while_pending([&] { return fired.size() >= target; });
+      EXPECT_EQ(met, fired.size() >= target);
+      if (!met) {
+        EXPECT_TRUE(live.empty());
+      }
+    }
+    EXPECT_GE(sim.pending_events(), live.size());
+  }
+  sim.run();
+
+  EXPECT_TRUE(live.empty());
+  EXPECT_EQ(sim.pending_events(), 0u);
+  EXPECT_GT(sim.purges(), 0u) << "the op mix should exercise the purge";
+  ASSERT_EQ(fired.size(), expected.size());
+  const auto diverge = std::mismatch(fired.begin(), fired.end(),
+                                     expected.begin());
+  EXPECT_TRUE(diverge.first == fired.end())
+      << "fire #" << (diverge.first - fired.begin()) << " was event "
+      << *diverge.first << ", the model expected " << *diverge.second;
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, EventQueueProperty, ::testing::Range(1, 9));
+
+}  // namespace
+
+TEST(Simulation, TelemetryStopsWhenOnlyCancelledEventsRemain) {
+  es::Simulation sim;
+  sim.schedule_at(5 * kSecond, [] {});
+  sim.schedule_at(ec::kHour, [] {}).cancel();
+  sim.start_telemetry(kSecond);
+  sim.run();
+  // The cancelled timer is still queued when the 5 s tick runs; it must
+  // not keep the sampler re-arming until 1 h.
+  EXPECT_GE(sim.now(), 5 * kSecond);
+  EXPECT_LE(sim.now(), 6 * kSecond);
+}
+
+TEST(SimulationQueue, LazyCancelledEventsArePurged) {
+  es::Simulation sim;
+  std::vector<es::EventHandle> handles;
+  handles.reserve(1000);
+  for (int i = 0; i < 1000; ++i) {
+    handles.push_back(
+        sim.schedule_at((i + 1) * kSecond, [] {}));
+  }
+  EXPECT_EQ(sim.pending_events(), 1000u);
+  for (auto& h : handles) h.cancel();
+  // The next push notices dead events outnumber live 2:1 and compacts.
+  sim.schedule_at(2000 * kSecond, [] {});
+  EXPECT_LT(sim.pending_events(), 16u);
+  // The survivor still fires.
+  std::uint64_t fired_before = sim.events_fired();
+  sim.run();
+  EXPECT_EQ(sim.events_fired(), fired_before + 1);
+  EXPECT_EQ(sim.now(), 2000 * kSecond);
+}
+
+TEST(SimulationQueue, PurgeKeepsLiveEventsAndOrder) {
+  es::Simulation sim;
+  std::vector<int> order;
+  std::vector<es::EventHandle> dead;
+  for (int i = 0; i < 300; ++i) {
+    const int at = i + 1;
+    if (i % 3 == 0) {
+      sim.schedule_at(at * kMillisecond, [&order, at] { order.push_back(at); });
+    } else {
+      dead.push_back(sim.schedule_at(at * kMillisecond, [] { FAIL(); }));
+    }
+  }
+  for (auto& h : dead) h.cancel();
+  sim.schedule_at(400 * kMillisecond, [&order] { order.push_back(400); });
+  sim.run();
+  ASSERT_EQ(order.size(), 101u);
+  EXPECT_TRUE(std::is_sorted(order.begin(), order.end()));
+  EXPECT_EQ(order.back(), 400);
+}
+
+TEST(SimulationQueue, PurgeWorkStaysLinearUnderCancelStorms) {
+  // Telemetry/explorer-style workload: waves of events scheduled and then
+  // cancelled wholesale, with a small set of long-lived survivors.  Total
+  // compaction work must stay linear in the number of cancellations — about
+  // one purge per wave, never one per cancel (the quadratic failure mode).
+  es::Simulation sim;
+  std::vector<es::EventHandle> survivors;
+  for (int i = 0; i < 100; ++i) {
+    survivors.push_back(sim.schedule_at((i + 1) * ec::kHour, [] {}));
+  }
+  constexpr int kWaves = 50;
+  constexpr int kPerWave = 1000;
+  for (int wave = 0; wave < kWaves; ++wave) {
+    std::vector<es::EventHandle> doomed;
+    doomed.reserve(kPerWave);
+    for (int i = 0; i < kPerWave; ++i) {
+      doomed.push_back(
+          sim.schedule_at((wave * kPerWave + i + 1) * kMillisecond, [] {}));
+    }
+    for (auto& h : doomed) h.cancel();
+  }
+  EXPECT_LE(sim.purges(), static_cast<std::uint64_t>(kWaves + 5))
+      << "purges must amortize to O(1) per wave of cancellations";
+  EXPECT_GE(sim.purges(), 1u);
+  EXPECT_LT(sim.pending_events(), 2u * kPerWave + 200)
+      << "dead events must not accumulate across waves";
+  // The survivors all still fire, in order.
+  std::uint64_t fired_before = sim.events_fired();
+  sim.run();
+  EXPECT_EQ(sim.events_fired(), fired_before + 100);
 }
 
 // ---------- failure schedule ----------
