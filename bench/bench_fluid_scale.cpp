@@ -10,8 +10,14 @@
 //     across commits,
 //   * steady-state poll tick cost, where the incremental path must skip the
 //     solver entirely (asserted via the reallocation counter),
-//   * heap allocations per solve for both implementations (global
-//     operator new is instrumented below).
+//   * heap allocations per solve for both implementations and per steady
+//     poll tick (global operator new is instrumented below); a tick's
+//     allocations must not grow with the transfer count.
+//
+// Every transfer carries progress and completion callbacks, as the ones
+// TcpTransfer starts do, so the bench times the one path every world takes.
+// The island tiers then check that a mutation on one island solves only
+// that island and allocates nothing, at 50k / 100k flows.
 //
 // Emits BENCH_fluid_scale.json via bench::write_bench_json so the trajectory
 // is tracked run over run.  `--small` runs a reduced configuration for the
@@ -57,6 +63,18 @@ namespace es = esg::sim;
 
 using Clock = std::chrono::steady_clock;
 
+/// What the callbacks of every bench transfer record.  The callbacks capture
+/// one pointer, so copying them never allocates.
+struct Watch {
+  ec::Bytes progressed = 0;
+  std::size_t completed = 0;
+};
+
+en::TransferCallbacks watched(Watch& w) {
+  return {[&w](ec::Bytes delta, ec::SimTime) { w.progressed += delta; },
+          [&w] { ++w.completed; }};
+}
+
 double elapsed_us(Clock::time_point t0, Clock::time_point t1) {
   return std::chrono::duration<double, std::micro>(t1 - t0).count();
 }
@@ -68,6 +86,7 @@ struct ScaleResult {
   double steady_us = 0.0;     // mean wall time of a solver-free poll tick
   double dense_allocs = 0.0;      // heap allocations per dense solve
   double reference_allocs = 0.0;  // heap allocations per reference solve
+  double tick_allocs = 0.0;       // heap allocations per steady poll tick
   std::uint64_t steady_solves = 0;  // must be 0
   double max_rate_gap = 0.0;  // dense vs reference, sanity
 };
@@ -79,6 +98,7 @@ ScaleResult run_scale(int n_flows, int solve_reps, es::Simulation& sim) {
   constexpr int kNics = 64;
   en::FluidNetwork fluid(sim, 100 * ec::kMillisecond);
   ec::Rng rng(20260805);
+  Watch watch;
 
   std::vector<en::Resource*> links, nics;
   for (int i = 0; i < kLinks; ++i) {
@@ -106,7 +126,7 @@ ScaleResult run_scale(int n_flows, int solve_reps, es::Simulation& sim) {
     rec.cap = rng.uniform() < 0.3 ? ec::mbps(rng.uniform(10.0, 200.0))
                                   : en::kUnlimitedRate;
     ids.push_back(fluid.start_transfer({en::FlowSpec{rec.path, rec.cap}},
-                                       en::kUnboundedBytes, {}));
+                                       en::kUnboundedBytes, watched(watch)));
     records.push_back(std::move(rec));
   }
 
@@ -166,15 +186,22 @@ ScaleResult run_scale(int n_flows, int solve_reps, es::Simulation& sim) {
   }
 
   // Steady-state: advance through poll ticks with zero mutations; the
-  // incremental path must keep the solver cold.
+  // incremental path must keep the solver cold.  Every tick reports
+  // progress to every transfer.  The first tick sizes the touch scratch, so
+  // allocations are counted over the ticks after it.
   {
     const std::uint64_t solves_before = fluid.reallocations();
-    const ec::SimTime horizon = sim.now() + 2 * ec::kSecond;  // 20 ticks
+    const ec::SimTime start = sim.now();
     const auto t0 = Clock::now();
-    sim.run_until(horizon);
+    sim.run_until(start + 150 * ec::kMillisecond);  // the first tick
+    const std::uint64_t touches_before = fluid.touches();
+    const auto a0 = g_alloc_count;
+    sim.run_until(start + 2 * ec::kSecond);  // 20 ticks in all
     const auto t1 = Clock::now();
     out.steady_us = elapsed_us(t0, t1) / 20.0;
     out.steady_solves = fluid.reallocations() - solves_before;
+    out.tick_allocs = static_cast<double>(g_alloc_count - a0) /
+                      static_cast<double>(fluid.touches() - touches_before);
   }
 
   fluid.batch([&] {
@@ -197,12 +224,14 @@ struct IslandResult {
 
 /// Partitioned-solver tier: `n_islands` disjoint islands (1 core link + 4
 /// NICs each) of `per_island` unbounded flows.  A cap mutation on one island
-/// must cost O(island), allocate nothing, and leave every other island's
-/// rates untouched — the counters assert all three machine-independently.
+/// must solve only that island and allocate nothing — the counters assert
+/// both machine-independently.  Its wall time also integrates every live
+/// transfer on the shared clock, so it grows with the fleet.
 IslandResult run_islands(int n_islands, int per_island, int reps,
                          es::Simulation& sim) {
   en::FluidNetwork fluid(sim, 100 * ec::kMillisecond);
   ec::Rng rng(20260808);
+  Watch watch;
 
   IslandResult out;
   out.islands = n_islands;
@@ -233,7 +262,8 @@ IslandResult run_islands(int n_islands, int per_island, int reps,
         std::vector<const en::Resource*> path = {
             nics[i][f % 4], links[i], nics[i][(f + 1) % 4]};
         ids[i].push_back(fluid.start_transfer({en::FlowSpec{path, cap}},
-                                              en::kUnboundedBytes, {}));
+                                              en::kUnboundedBytes,
+                                              watched(watch)));
       }
     }
   });
@@ -268,9 +298,8 @@ IslandResult run_islands(int n_islands, int per_island, int reps,
   }
   out.max_solve = fluid.max_solve_flows();
 
-  // Bounded-drain: one finite headless transfer per island, completed via
-  // its own completion event; the run exercises the event queue with
-  // `n_islands` concurrent completion events plus poll ticks.
+  // Bounded-drain: one finite transfer per island, completed through the
+  // shared next-completion event while poll ticks report progress.
   {
     std::vector<en::TransferId> bounded;
     fluid.batch([&] {
@@ -278,7 +307,8 @@ IslandResult run_islands(int n_islands, int per_island, int reps,
         std::vector<const en::Resource*> path = {nics[i][0], links[i],
                                                  nics[i][1]};
         bounded.push_back(fluid.start_transfer(
-            {en::FlowSpec{path, en::kUnlimitedRate}}, 10'000'000, {}));
+            {en::FlowSpec{path, en::kUnlimitedRate}}, 10'000'000,
+            watched(watch)));
       }
     });
     sim.run_until(sim.now() + 60 * ec::kSecond);
@@ -321,6 +351,10 @@ int main(int argc, char** argv) {
   esg::obs::RunManifest manifest;
   bool steady_clean = true;
   double worst_gap = 0.0;
+  // A tick's allocations must stay those of the smallest tier: one more
+  // per transfer means the progress notices allocate.
+  double first_tick_allocs = -1.0;
+  bool ticks_flat = true;
   for (const int n : scales) {
     const ScaleResult r = run_scale(n, solve_reps, sim);
     const double speedup =
@@ -329,6 +363,8 @@ int main(int argc, char** argv) {
         r.dense_us > 0.0 ? 1e6 / r.dense_us : 0.0;
     steady_clean = steady_clean && r.steady_solves == 0;
     worst_gap = std::max(worst_gap, r.max_rate_gap);
+    if (first_tick_allocs < 0.0) first_tick_allocs = r.tick_allocs;
+    ticks_flat = ticks_flat && r.tick_allocs <= first_tick_allocs;
 
     std::printf(
         "\nflows=%d\n"
@@ -336,10 +372,11 @@ int main(int argc, char** argv) {
         "  touches/sec    dense %10.0f\n"
         "  steady tick    %10.2f us   solver runs during polls: %llu\n"
         "  allocs/solve   dense %10.1f      reference %10.1f\n"
+        "  allocs/tick    %10.2f      (flat in the transfer count)\n"
         "  max |rate gap| dense vs reference: %.3g B/s\n",
         r.flows, r.dense_us, r.reference_us, speedup, touches_per_sec,
         r.steady_us, static_cast<unsigned long long>(r.steady_solves),
-        r.dense_allocs, r.reference_allocs, r.max_rate_gap);
+        r.dense_allocs, r.reference_allocs, r.tick_allocs, r.max_rate_gap);
 
     const std::string tag = "n=" + std::to_string(n);
     rows.push_back({tag + " solver us/touch (dense)", "-", fmt(r.dense_us, "us")});
@@ -356,16 +393,18 @@ int main(int argc, char** argv) {
                     fmt(r.reference_allocs, "")});
     rows.push_back({tag + " solver runs during polls", "0",
                     std::to_string(r.steady_solves)});
+    rows.push_back({tag + " allocs/tick", "flat", fmt(r.tick_allocs, "")});
 
     manifest.set_bench(tag + " allocs/solve (dense)", r.dense_allocs);
     manifest.set_bench(tag + " allocs/solve (reference)", r.reference_allocs);
     manifest.set_bench(tag + " solver runs during polls",
                        static_cast<double>(r.steady_solves));
     manifest.set_bench(tag + " max rate gap", r.max_rate_gap);
+    manifest.set_bench(tag + " allocs/tick", r.tick_allocs);
   }
 
-  // Partitioned tiers: ISSUE 9's 50k / 100k flow targets.  Wall-clock rows
-  // are informational; the gate consumes only the counter-derived fields
+  // Partitioned tiers at 50k / 100k flows.  Wall-clock rows are
+  // informational; the gate consumes only the counter-derived fields
   // (allocs per touch, flows walked per touch, component sizes), which are
   // deterministic.
   struct IslandTier {
@@ -390,19 +429,19 @@ int main(int argc, char** argv) {
 
     std::printf(
         "\nislands=%dx%d (%d flows)\n"
-        "  isolated touch  %10.2f us  (%.0f ns/touch, %.1f ns/island-flow)\n"
+        "  isolated touch  %10.2f us  (%.0f ns/touch, %.1f ns/transfer)\n"
         "  allocs/touch    %10.2f      (steady state must be 0)\n"
         "  flows/touch     %10.1f      (= touched island, not fleet)\n"
         "  components      %10zu      max solve %zu flows\n"
         "  bounded drain   %10zu / %d bounded transfers completed\n",
         r.islands, r.per_island, r.flows, r.touch_us, ns_per_touch,
-        ns_per_touch / tier.per_island, r.touch_allocs, r.flows_per_touch,
+        ns_per_touch / r.flows, r.touch_allocs, r.flows_per_touch,
         r.components, r.max_solve, r.drained, tier.islands);
 
     const std::string tag =
         "islands=" + std::to_string(tier.islands) + "x" +
         std::to_string(tier.per_island);
-    rows.push_back({tag + " us/touch (isolated)", "O(island)",
+    rows.push_back({tag + " us/touch (isolated)", "O(live transfers)",
                     fmt(r.touch_us, "us")});
     rows.push_back({tag + " allocs/touch", "0", fmt(r.touch_allocs, "")});
     rows.push_back({tag + " flows/touch", std::to_string(tier.per_island),
@@ -442,6 +481,11 @@ int main(int argc, char** argv) {
 
   if (!steady_clean) {
     std::printf("FAIL: steady-state poll ticks invoked the solver\n");
+    return 1;
+  }
+  if (!ticks_flat) {
+    std::printf(
+        "FAIL: steady-state poll ticks allocate more as transfers grow\n");
     return 1;
   }
   if (worst_gap > 1e-3) {

@@ -15,7 +15,7 @@ constexpr double kByteEps = 0.5;  // "done" when less than half a byte remains
 FluidNetwork::FluidNetwork(sim::Simulation& simulation,
                            SimDuration poll_interval)
     : sim_(simulation), poll_interval_(poll_interval) {
-  observed_integration_ = sim_.now();
+  integrated_at_ = sim_.now();
   components_gauge_ = &sim_.metrics().gauge("net_components");
   solve_size_gauge_ = &sim_.metrics().gauge("net_component_solve_size");
   components_gauge_->set(0.0);
@@ -24,7 +24,6 @@ FluidNetwork::FluidNetwork(sim::Simulation& simulation,
 FluidNetwork::~FluidNetwork() {
   next_event_.cancel();
   poll_event_.cancel();
-  for (auto& t : transfer_pool_) t.completion.cancel();
 }
 
 Resource* FluidNetwork::add_resource(std::string name, Rate capacity) {
@@ -38,12 +37,12 @@ Resource* FluidNetwork::add_resource(std::string name, Rate capacity) {
   (void)it;
   resources_by_id_.push_back(ptr);
   res_comp_.push_back(kNone);
+  res_flows_.push_back(0);
   foreground_.push_back(0.0);
   // Per-resource solver scratch grows here, never during a solve.
   usage_scratch_.push_back(0.0);
   cap_scratch_.push_back(0.0);
   unfrozen_scratch_.push_back(0);
-  res_mark_.push_back(0);
   return ptr;
 }
 
@@ -160,7 +159,6 @@ std::uint32_t FluidNetwork::alloc_comp() {
   c.resources.clear();
   c.live = true;
   c.dirty = false;
-  c.needs_rebuild = false;
   ++live_components_;
   components_gauge_->set(static_cast<double>(live_components_));
   return cid;
@@ -172,7 +170,6 @@ void FluidNetwork::free_comp(std::uint32_t cid) {
   c.resources.clear();
   c.live = false;
   c.dirty = false;
-  c.needs_rebuild = false;
   comp_free_.push_back(cid);
   --live_components_;
   components_gauge_->set(static_cast<double>(live_components_));
@@ -218,6 +215,7 @@ void FluidNetwork::assign_flow_component(std::uint32_t fslot) {
   c.flows.push_back(fslot);
   for (std::uint32_t k = 0; k < f.path_len; ++k) {
     const std::uint32_t rid = path_pool_[f.path_begin + k];
+    ++res_flows_[rid];
     if (res_comp_[rid] == kNone) {
       res_comp_[rid] = target;
       c.resources.push_back(rid);
@@ -236,122 +234,23 @@ void FluidNetwork::remove_flow(std::uint32_t fslot) {
   c.flows[pos] = last;
   flow_pool_[last].index_in_comp = pos;
   c.flows.pop_back();
+  // Orphan every resource no remaining flow crosses.  The component keeps
+  // the rest even if this flow was the only link between them.
+  for (std::uint32_t k = 0; k < f.path_len; ++k) {
+    const std::uint32_t rid = path_pool_[f.path_begin + k];
+    if (--res_flows_[rid] > 0) continue;
+    c.resources.erase(std::find(c.resources.begin(), c.resources.end(), rid));
+    res_comp_[rid] = kNone;
+    foreground_[rid] = 0.0;
+    update_resource_gauge(resources_by_id_[rid]);
+  }
   if (c.flows.empty()) {
-    // Last flow gone: orphan the resources and retire the component.
-    for (const std::uint32_t rid : c.resources) {
-      res_comp_[rid] = kNone;
-      foreground_[rid] = 0.0;
-      update_resource_gauge(resources_by_id_[rid]);
-    }
     // A pending dirty entry for this slot is skipped by the solve loop.
     free_comp(cid);
   } else {
     mark_dirty(cid);
-    c.needs_rebuild = true;
   }
   free_flow(fslot);
-}
-
-void FluidNetwork::rebuild_component(std::uint32_t cid,
-                                     std::vector<std::uint32_t>& worklist) {
-  // A flow removal may have disconnected the component.  Re-derive its
-  // connectivity with a resource-keyed union-find scoped to this component;
-  // group 1 keeps the slot, every further group gets a fresh (dirty) one.
-  ++rebuilds_;
-  ++mark_epoch_;
-  uf_parent_.resize(res_comp_.size());
-  Component& c = comp_pool_[cid];
-  c.needs_rebuild = false;
-
-  auto find_root = [&](std::uint32_t rid) {
-    std::uint32_t root = rid;
-    while (uf_parent_[root] != root) root = uf_parent_[root];
-    while (uf_parent_[rid] != root) {
-      const std::uint32_t up = uf_parent_[rid];
-      uf_parent_[rid] = root;
-      rid = up;
-    }
-    return root;
-  };
-
-  for (const std::uint32_t fslot : c.flows) {
-    const Flow& f = flow_pool_[fslot];
-    std::uint32_t first = kNone;
-    for (std::uint32_t k = 0; k < f.path_len; ++k) {
-      const std::uint32_t rid = path_pool_[f.path_begin + k];
-      if (res_mark_[rid] != mark_epoch_) {
-        res_mark_[rid] = mark_epoch_;
-        uf_parent_[rid] = rid;
-      }
-      if (first == kNone) {
-        first = rid;
-      } else {
-        uf_parent_[find_root(rid)] = find_root(first);
-      }
-    }
-  }
-
-  // Partition the flows by root.  Empty-path flows (no resources) each form
-  // their own group.
-  group_scratch_.clear();  // (root, component) pairs
-  auto comp_for_root = [&](std::uint32_t root) {
-    for (const auto& [r, id] : group_scratch_) {
-      if (r == root) return id;
-    }
-    std::uint32_t id;
-    if (group_scratch_.empty()) {
-      id = cid;  // first group reuses the slot
-      // Clearing here is safe: flows/resources were snapshotted below.
-    } else {
-      id = alloc_comp();
-      comp_pool_[id].dirty = true;  // solved by the caller's worklist
-      worklist.push_back(id);
-    }
-    group_scratch_.emplace_back(root, id);
-    return id;
-  };
-
-  // Snapshot the member lists, then redistribute.
-  std::vector<std::uint32_t>& old_flows = transfer_scratch_;  // reuse scratch
-  old_flows.assign(c.flows.begin(), c.flows.end());
-  std::vector<std::uint32_t> old_resources;
-  old_resources.swap(c.resources);
-  c.flows.clear();
-
-  for (const std::uint32_t fslot : old_flows) {
-    Flow& f = flow_pool_[fslot];
-    std::uint32_t target;
-    if (f.path_len == 0) {
-      // Detached flow: isolate it (cannot share a component with anything).
-      target = group_scratch_.empty() ? cid : alloc_comp();
-      if (target != cid) {
-        comp_pool_[target].dirty = true;
-        worklist.push_back(target);
-        group_scratch_.emplace_back(kNone, target);  // occupy group 1 marker
-      } else {
-        group_scratch_.emplace_back(kNone, target);
-      }
-    } else {
-      target = comp_for_root(find_root(path_pool_[f.path_begin]));
-    }
-    Component& tc = comp_pool_[target];
-    f.comp = target;
-    f.index_in_comp = static_cast<std::uint32_t>(tc.flows.size());
-    tc.flows.push_back(fslot);
-  }
-
-  for (const std::uint32_t rid : old_resources) {
-    if (res_mark_[rid] != mark_epoch_) {
-      // No remaining flow crosses it: orphan.
-      res_comp_[rid] = kNone;
-      foreground_[rid] = 0.0;
-      update_resource_gauge(resources_by_id_[rid]);
-      continue;
-    }
-    const std::uint32_t target = comp_for_root(find_root(rid));
-    res_comp_[rid] = target;
-    comp_pool_[target].resources.push_back(rid);
-  }
 }
 
 // ---- transfers ----
@@ -375,10 +274,7 @@ TransferId FluidNetwork::start_transfer(std::vector<FlowSpec> flows,
   t.delivered = 0.0;
   t.reported = 0.0;
   t.cached_rate = 0.0;
-  t.last_integrated = sim_.now();
   t.callbacks = std::move(callbacks);
-  t.observed = static_cast<bool>(t.callbacks.on_progress) ||
-               static_cast<bool>(t.callbacks.on_complete);
   t.flows.clear();
   t.flows.reserve(flows.size());
   for (const auto& spec : flows) {
@@ -389,7 +285,6 @@ TransferId FluidNetwork::start_transfer(std::vector<FlowSpec> flows,
   }
   const TransferId id = t.id;
   index_.emplace(id, tslot);
-  if (t.observed) observed_.emplace(id, tslot);
   on_mutation();
   // A zero-byte transfer may already have completed inside touch().
   if (!index_.empty()) ensure_polling();
@@ -400,14 +295,10 @@ Bytes FluidNetwork::cancel_transfer(TransferId id) {
   auto it = index_.find(id);
   if (it == index_.end()) return 0;
   const std::uint32_t tslot = it->second;
-  Transfer& t = transfer_pool_[tslot];
   // Account bytes up to this instant before dropping the transfer.
-  if (t.observed) {
-    integrate_observed();
-  } else {
-    integrate_transfer(tslot);
-  }
-  const auto delivered = static_cast<Bytes>(t.delivered + kByteEps);
+  integrate();
+  const auto delivered =
+      static_cast<Bytes>(transfer_pool_[tslot].delivered + kByteEps);
   erase_transfer_slot(tslot);
   on_mutation();
   return delivered;
@@ -415,9 +306,7 @@ Bytes FluidNetwork::cancel_transfer(TransferId id) {
 
 void FluidNetwork::erase_transfer_slot(std::uint32_t tslot) {
   Transfer& t = transfer_pool_[tslot];
-  t.completion.cancel();
   for (const std::uint32_t fslot : t.flows) remove_flow(fslot);
-  observed_.erase(t.id);
   index_.erase(t.id);
   t = Transfer{};
   transfer_free_.push_back(tslot);
@@ -471,9 +360,8 @@ Bytes FluidNetwork::transferred(TransferId id) const {
   auto it = index_.find(id);
   if (it == index_.end()) return 0;
   const Transfer& t = transfer_pool_[it->second];
-  // Include bytes accrued since the transfer's last integration point.
-  const SimTime since = t.observed ? observed_integration_ : t.last_integrated;
-  const double dt = common::to_seconds(sim_.now() - since);
+  // Include bytes accrued since the last integration.
+  const double dt = common::to_seconds(sim_.now() - integrated_at_);
   double v = t.delivered + t.cached_rate * dt;
   if (t.total >= 0.0) v = std::min(v, t.total);
   return static_cast<Bytes>(v + kByteEps);
@@ -486,8 +374,7 @@ Bytes FluidNetwork::flow_transferred(TransferId id,
   const Transfer& t = transfer_pool_[it->second];
   if (flow_index >= t.flows.size()) return 0;
   const Flow& f = flow_pool_[t.flows[flow_index]];
-  const SimTime since = t.observed ? observed_integration_ : t.last_integrated;
-  const double dt = common::to_seconds(sim_.now() - since);
+  const double dt = common::to_seconds(sim_.now() - integrated_at_);
   double v = f.delivered + f.rate * dt;
   // A single flow can never carry more than the pool holds; float accrual
   // at completion would otherwise over-report (the pool itself clamps).
@@ -518,41 +405,29 @@ void FluidNetwork::update() { touch(); }
 
 // ---- integration ----
 
-void FluidNetwork::integrate_transfer_span(Transfer& t, double dt) {
-  if (t.cached_rate <= 0.0) return;
-  double earned = 0.0;
-  for (const std::uint32_t fslot : t.flows) {
-    Flow& f = flow_pool_[fslot];
-    if (f.rate <= 0.0) continue;
-    const double d = f.rate * dt;
-    f.delivered += d;
-    earned += d;
-  }
-  if (earned <= 0.0) return;
-  // Never drain past the pool: clamp (floating error at completion).
-  if (t.total >= 0.0 && t.delivered + earned > t.total) {
-    earned = t.total - t.delivered;
-  }
-  t.delivered += earned;
-}
-
-void FluidNetwork::integrate_observed() {
+void FluidNetwork::integrate() {
   const SimTime now = sim_.now();
-  if (now <= observed_integration_) return;
-  const double dt = common::to_seconds(now - observed_integration_);
-  observed_integration_ = now;
-  for (const auto& [id, tslot] : observed_) {
-    integrate_transfer_span(transfer_pool_[tslot], dt);
+  if (now <= integrated_at_) return;
+  const double dt = common::to_seconds(now - integrated_at_);
+  integrated_at_ = now;
+  for (const auto& [id, tslot] : index_) {
+    Transfer& t = transfer_pool_[tslot];
+    if (t.cached_rate <= 0.0) continue;
+    double earned = 0.0;
+    for (const std::uint32_t fslot : t.flows) {
+      Flow& f = flow_pool_[fslot];
+      if (f.rate <= 0.0) continue;
+      const double d = f.rate * dt;
+      f.delivered += d;
+      earned += d;
+    }
+    if (earned <= 0.0) continue;
+    // Never drain past the pool: clamp (floating error at completion).
+    if (t.total >= 0.0 && t.delivered + earned > t.total) {
+      earned = t.total - t.delivered;
+    }
+    t.delivered += earned;
   }
-}
-
-void FluidNetwork::integrate_transfer(std::uint32_t tslot) {
-  Transfer& t = transfer_pool_[tslot];
-  const SimTime now = sim_.now();
-  if (now <= t.last_integrated) return;
-  const double dt = common::to_seconds(now - t.last_integrated);
-  t.last_integrated = now;
-  integrate_transfer_span(t, dt);
 }
 
 // ---- solving ----
@@ -569,26 +444,13 @@ void FluidNetwork::update_resource_gauge(Resource* res) {
 
 void FluidNetwork::solve_component(std::uint32_t cid) {
   // Progressive filling (water-filling) with per-flow caps, restricted to
-  // one connected component.  Every flow ends either frozen at its cap or
+  // one component.  Every flow ends either frozen at its cap or
   // crossing a saturated resource — the classic max-min optimality
   // condition, asserted by the property tests against the retained
   // reference implementation (net/fluid_reference.hpp).  The arithmetic is
   // iteration-order independent within a round, so a single-component world
   // reproduces the pre-partitioned global solver bit-for-bit.
   Component& c = comp_pool_[cid];
-
-  // Integrate the component's headless transfers at their outgoing rates
-  // before those rates change (observed transfers were already integrated
-  // by the touch's shared pass).
-  ++mark_epoch_;
-  transfer_scratch_.clear();
-  for (const std::uint32_t fslot : c.flows) {
-    const std::uint32_t tslot = flow_pool_[fslot].transfer;
-    if (transfer_mark_[tslot] == mark_epoch_) continue;
-    transfer_mark_[tslot] = mark_epoch_;
-    transfer_scratch_.push_back(tslot);
-    if (!transfer_pool_[tslot].observed) integrate_transfer(tslot);
-  }
 
   entries_scratch_.clear();
   for (const std::uint32_t fslot : c.flows) {
@@ -679,23 +541,17 @@ void FluidNetwork::solve_component(std::uint32_t cid) {
   }
 
   // Refresh the per-transfer aggregate cache the rest of the network (rate
-  // queries, completion prediction, byte integration) reads, and keep the
-  // headless completion events honest.
-  for (const std::uint32_t tslot : transfer_scratch_) {
+  // queries, completion prediction, byte integration) reads, once per
+  // distinct transfer.
+  ++mark_epoch_;
+  for (const std::uint32_t fslot : c.flows) {
+    const std::uint32_t tslot = flow_pool_[fslot].transfer;
+    if (transfer_mark_[tslot] == mark_epoch_) continue;
+    transfer_mark_[tslot] = mark_epoch_;
     Transfer& t = transfer_pool_[tslot];
-    const Rate before = t.cached_rate;
     Rate sum = 0.0;
-    for (const std::uint32_t fslot : t.flows) sum += flow_pool_[fslot].rate;
+    for (const std::uint32_t member : t.flows) sum += flow_pool_[member].rate;
     t.cached_rate = sum;
-    if (t.observed || t.total < 0.0) continue;
-    if (t.remaining() <= kByteEps) {
-      // Already drained (zero-byte transfers, completion races): finish it
-      // within this touch rather than waiting for an event.
-      due_headless_.emplace_back(tslot, t.id);
-      dirty_ = true;
-    } else if (t.cached_rate != before || !t.completion.pending()) {
-      schedule_headless_completion(tslot);
-    }
   }
 
   ++component_solves_;
@@ -708,13 +564,8 @@ void FluidNetwork::solve_component(std::uint32_t cid) {
 void FluidNetwork::solve_dirty_components() {
   std::swap(dirty_comps_, dirty_scratch_);
   dirty_comps_.clear();
-  // Index loop: rebuild splits append their new components to the worklist.
-  for (std::size_t i = 0; i < dirty_scratch_.size(); ++i) {
-    const std::uint32_t cid = dirty_scratch_[i];
+  for (const std::uint32_t cid : dirty_scratch_) {
     if (!comp_pool_[cid].live || !comp_pool_[cid].dirty) continue;  // merged away
-    if (comp_pool_[cid].needs_rebuild) {
-      rebuild_component(cid, dirty_scratch_);
-    }
     solve_component(cid);
     comp_pool_[cid].dirty = false;
   }
@@ -729,11 +580,10 @@ void FluidNetwork::solve_dirty_components() {
 // ---- events ----
 
 void FluidNetwork::schedule_next_event() {
-  // Shared completion event over the observed set, recomputed after every
-  // solve with the legacy formula so observed timelines replay unchanged.
+  // One shared completion event, recomputed after every solve.
   next_event_.cancel();
   double earliest = std::numeric_limits<double>::infinity();
-  for (const auto& [id, tslot] : observed_) {
+  for (const auto& [id, tslot] : index_) {
     const Transfer& t = transfer_pool_[tslot];
     const double rem = t.remaining();
     if (!std::isfinite(rem)) continue;
@@ -747,25 +597,6 @@ void FluidNetwork::schedule_next_event() {
                                     [this] { touch(); });
 }
 
-void FluidNetwork::schedule_headless_completion(std::uint32_t tslot) {
-  Transfer& t = transfer_pool_[tslot];
-  t.completion.cancel();
-  if (t.cached_rate <= kRateEps) return;
-  const double rem = t.remaining();
-  const auto delay = static_cast<SimDuration>(
-      std::ceil(rem / t.cached_rate * static_cast<double>(common::kSecond)));
-  const TransferId id = t.id;
-  t.completion = sim_.schedule_after(
-      std::max<SimDuration>(0, delay),
-      [this, tslot, id] { on_headless_due(tslot, id); });
-}
-
-void FluidNetwork::on_headless_due(std::uint32_t tslot, TransferId id) {
-  if (tslot >= transfer_pool_.size() || transfer_pool_[tslot].id != id) return;
-  due_headless_.emplace_back(tslot, id);
-  touch();
-}
-
 void FluidNetwork::touch() {
   if (in_touch_) {
     dirty_ = true;
@@ -775,58 +606,52 @@ void FluidNetwork::touch() {
   ++touches_;
   do {
     dirty_ = false;
-    integrate_observed();
+    integrate();
 
-    // Surface progress and collect completions before reallocating, since
-    // completion callbacks typically start follow-on transfers.
-    completed_scratch_.clear();
-    notify_scratch_.clear();
-    for (const auto& [id, tslot] : observed_) {
+    // Queue progress and completions in id order before reallocating, since
+    // completion callbacks typically start follow-on transfers.  User
+    // callbacks must not see a half-updated network, so none runs yet.
+    notices_.clear();
+    for (const auto& [id, tslot] : index_) {
       Transfer& t = transfer_pool_[tslot];
+      Notice n{id, tslot, 0, t.total >= 0.0 && t.remaining() <= kByteEps};
       const double delta = t.delivered - t.reported;
       if (delta >= 1.0 && t.callbacks.on_progress) {
-        const auto whole = static_cast<Bytes>(delta);
-        t.reported += static_cast<double>(whole);
-        // Defer: user callbacks must not see a half-updated network.
-        auto cb = t.callbacks.on_progress;
-        const SimTime now = sim_.now();
-        notify_scratch_.push_back([cb, whole, now] { cb(whole, now); });
+        n.delta = static_cast<Bytes>(delta);
+        t.reported += static_cast<double>(n.delta);
       }
-      if (t.total >= 0.0 && t.remaining() <= kByteEps) {
-        completed_scratch_.push_back(id);
-        if (t.callbacks.on_complete) {
-          notify_scratch_.push_back(t.callbacks.on_complete);
-        }
+      if (n.delta > 0 || n.complete) notices_.push_back(n);
+    }
+    for (const Notice& n : notices_) {
+      if (!n.complete) continue;
+      finished_.push_back(std::move(transfer_pool_[n.tslot].callbacks));
+      erase_transfer_slot(n.tslot);
+      rates_dirty_ = true;
+    }
+    // Deliver.  Callbacks may re-enter touch() (which only sets dirty_),
+    // start transfers, or cancel any live one, their own included.
+    const SimTime now = sim_.now();
+    std::size_t next_finished = 0;
+    for (const Notice& n : notices_) {
+      if (n.complete) {
+        const TransferCallbacks& cbs = finished_[next_finished++];
+        if (n.delta > 0) cbs.on_progress(n.delta, now);
+        if (cbs.on_complete) cbs.on_complete();
+        continue;
       }
+      // A transfer cancelled since its notice was queued gets nothing;
+      // transfer ids never repeat, so a recycled slot does not match.
+      if (transfer_pool_[n.tslot].id != n.id) continue;
+      // Call a copy: the callback may cancel its own transfer or start one
+      // that moves the pool.
+      const auto on_progress = transfer_pool_[n.tslot].callbacks.on_progress;
+      on_progress(n.delta, now);
     }
-    if (!completed_scratch_.empty()) rates_dirty_ = true;
-    for (const TransferId id : completed_scratch_) {
-      erase_transfer_slot(index_.at(id));
-    }
-    // Headless transfers whose predicted completion arrived.
-    if (!due_headless_.empty()) {
-      std::swap(due_headless_, due_scratch_);
-      due_headless_.clear();
-      for (const auto& [tslot, id] : due_scratch_) {
-        if (tslot >= transfer_pool_.size() || transfer_pool_[tslot].id != id) {
-          continue;  // already gone (cancelled or duplicate notification)
-        }
-        integrate_transfer(tslot);
-        Transfer& t = transfer_pool_[tslot];
-        if (t.remaining() <= kByteEps) {
-          rates_dirty_ = true;
-          erase_transfer_slot(tslot);
-        } else if (t.cached_rate > kRateEps) {
-          schedule_headless_completion(tslot);  // stale prediction: re-arm
-        }
-      }
-      due_scratch_.clear();
-    }
-    for (auto& fn : notify_scratch_) fn();  // may re-enter touch(); sets dirty_
+    finished_.clear();  // release what the completed callbacks captured
 
     // The incremental fast path: when no flow set, cap, capacity or
     // background changed, current rates — and the already-scheduled
-    // completion events — are still exact.  Poll ticks and pure-progress
+    // completion event — are still exact.  Poll ticks and pure-progress
     // touches stop here without running the solver.
     if (rates_dirty_) {
       rates_dirty_ = false;

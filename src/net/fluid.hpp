@@ -20,23 +20,23 @@
 // The solver is built for a hundred thousand concurrent flows:
 //
 //  * Component partitioning — the flow/resource bipartite graph is kept
-//    decomposed into connected components.  A mutation dirties only the
-//    component it lands in, and a solve walks only that component's flows,
-//    so the cost of a cap change on one island of the network is bounded by
-//    the island's size, not the fleet's.  Components merge eagerly when a
-//    new flow bridges them and split lazily (union-find rebuild at the next
-//    solve) when a flow removal disconnects them.
+//    partitioned into components.  A mutation dirties only the component it
+//    lands in, and a solve walks only that component's flows, so the solver
+//    cost of a cap change on one island of the network is bounded by the
+//    island's size, not the fleet's.  Components merge eagerly when a new
+//    flow bridges them and never split: each resource counts the flows
+//    crossing it, drops out of its component when the count reaches zero,
+//    and a component retires when its last flow leaves.
 //  * Flat arena storage — flows live in one contiguous pool, their paths in
 //    one shared id array (offset + length per flow), transfers in a slotted
 //    pool; a component re-solve walks contiguous memory and performs zero
 //    heap allocations in steady state.
-//  * Observed vs headless transfers — a transfer with callbacks ("observed")
-//    keeps the exact legacy timeline: integrated at every touch, progress
-//    surfaced at every poll tick, one shared next-completion event over the
-//    observed set.  A callback-free transfer ("headless") is integrated
-//    lazily against its own clock and completes through a per-transfer event
-//    in the simulation's event queue, so a million idle flows cost nothing
-//    per touch.  You pay per touch only for what you watch.
+//  * One transfer path — every transfer is integrated at every touch on one
+//    shared clock, surfaces progress in id order at every poll tick, and
+//    completes through one shared next-completion event.  Progress and
+//    completion notices are queued as plain records and delivered once the
+//    network is consistent; a transfer cancelled by an earlier callback gets
+//    none of its queued notices.
 //  * Incremental reallocation — a rates-dirty flag plus per-component dirty
 //    flags track whether any flow/cap/capacity/background changed since the
 //    last solve.  Poll ticks and pure-progress touches integrate byte
@@ -161,7 +161,8 @@ class FluidNetwork {
   TransferId start_transfer(std::vector<FlowSpec> flows, Bytes total,
                             TransferCallbacks callbacks);
 
-  /// Stop a transfer; no further callbacks fire.  Returns bytes delivered.
+  /// Stop a transfer; no further callbacks fire, not even notices already
+  /// queued in the current touch.  Returns bytes delivered.
   Bytes cancel_transfer(TransferId id);
 
   /// Adjust one member flow's cap (slow-start ramp, AIMD backoff).
@@ -210,8 +211,8 @@ class FluidNetwork {
   /// How many utilization gauge writes actually happened (value changes).
   std::uint64_t util_gauge_updates() const { return util_gauge_updates_; }
 
-  /// Connected components currently live over the flow/resource graph
-  /// (mirrored into the `net_components` gauge).
+  /// Components currently live over the flow/resource graph (mirrored
+  /// into the `net_components` gauge).
   std::size_t components() const { return live_components_; }
   /// Individual component solves (one touch may solve several components).
   std::uint64_t component_solves() const { return component_solves_; }
@@ -227,10 +228,9 @@ class FluidNetwork {
     last_solve_flows_ = 0;
     max_solve_flows_ = 0;
   }
-  /// Lazy union-find rebuilds triggered by flow removals.
-  std::uint64_t component_rebuilds() const { return rebuilds_; }
-  /// Whether two resources currently sit in the same connected component
-  /// (false when either carries no flow).
+  /// Whether two resources currently sit in the same component (false when
+  /// either carries no flow).  Components never split, so resources that
+  /// were once connected stay together while both carry flows.
   bool same_component(const Resource* a, const Resource* b) const;
 
  private:
@@ -256,10 +256,7 @@ class FluidNetwork {
     double delivered = 0.0;   // bytes drained from the pool
     double reported = 0.0;    // bytes already surfaced via on_progress
     Rate cached_rate = 0.0;   // aggregate flow rate, refreshed by the solver
-    SimTime last_integrated = 0;  // headless: private integration clock
-    bool observed = false;        // has progress/completion callbacks
     TransferCallbacks callbacks;
-    sim::EventHandle completion;  // headless bounded: own completion event
 
     double remaining() const {
       return total < 0 ? std::numeric_limits<double>::infinity()
@@ -267,13 +264,22 @@ class FluidNetwork {
     }
   };
 
-  /// One connected component of the flow/resource bipartite graph.
+  /// A union of connected pieces of the flow/resource bipartite graph:
+  /// merged when a flow bridges two, never split.
   struct Component {
     std::vector<std::uint32_t> flows;      // flow pool slots
     std::vector<std::uint32_t> resources;  // distinct resource ids
     bool live = false;
-    bool dirty = false;          // needs a re-solve
-    bool needs_rebuild = false;  // a flow was removed: may have split
+    bool dirty = false;  // needs a re-solve
+  };
+
+  /// A progress and/or completion notice, queued by touch() and delivered
+  /// once the network is consistent.
+  struct Notice {
+    TransferId id;
+    std::uint32_t tslot;
+    Bytes delta;    // bytes to report via on_progress (0: none)
+    bool complete;  // callbacks moved to finished_ and the slot erased
   };
 
   // ---- internals ----
@@ -287,21 +293,15 @@ class FluidNetwork {
   /// Attach a freshly created flow to the component structure, merging every
   /// component its path bridges (smaller absorbed into largest).
   void assign_flow_component(std::uint32_t fslot);
-  /// Detach a flow on removal; flags the component for a lazy rebuild.
+  /// Detach a flow on removal, orphaning every resource no flow crosses
+  /// any more and retiring the component once it holds no flow.
   void remove_flow(std::uint32_t fslot);
-  /// Union-find re-derivation of one rebuild-flagged component; appends any
-  /// split-off components (already dirty) to `worklist`.
-  void rebuild_component(std::uint32_t cid, std::vector<std::uint32_t>& worklist);
 
-  void integrate_observed();
-  void integrate_transfer(std::uint32_t tslot);
-  void integrate_transfer_span(Transfer& t, double dt);
+  void integrate();  // advance every transfer to now on the shared clock
   void solve_dirty_components();
   void solve_component(std::uint32_t cid);
   void update_resource_gauge(Resource* res);
-  void schedule_next_event();  // observed transfers' shared completion event
-  void schedule_headless_completion(std::uint32_t tslot);
-  void on_headless_due(std::uint32_t tslot, TransferId id);
+  void schedule_next_event();  // the shared next-completion event
   void erase_transfer_slot(std::uint32_t tslot);
   void touch();  // integrate, run completions, reallocate-if-dirty, reschedule
   void ensure_polling();
@@ -325,15 +325,15 @@ class FluidNetwork {
   std::vector<std::uint32_t> comp_free_;
 
   // Indexes.
-  std::map<TransferId, std::uint32_t> index_;     // all transfers, id order
-  std::map<TransferId, std::uint32_t> observed_;  // callback-carrying subset
+  std::map<TransferId, std::uint32_t> index_;  // transfers in id order
   std::vector<std::uint32_t> res_comp_;     // resource id -> component
+  std::vector<std::uint32_t> res_flows_;    // resource id -> flows crossing it
   std::vector<double> foreground_;          // resource id -> allocated rate
   std::vector<std::uint32_t> dirty_comps_;
   std::size_t live_components_ = 0;
 
   TransferId next_id_ = 1;
-  SimTime observed_integration_ = 0;  // shared clock of the observed set
+  SimTime integrated_at_ = 0;  // the shared integration clock
   sim::EventHandle next_event_;
   sim::EventHandle poll_event_;
   bool in_touch_ = false;
@@ -345,7 +345,6 @@ class FluidNetwork {
   std::uint64_t util_gauge_updates_ = 0;
   std::uint64_t component_solves_ = 0;
   std::uint64_t flows_solved_total_ = 0;
-  std::uint64_t rebuilds_ = 0;
   std::size_t last_solve_flows_ = 0;
   std::size_t max_solve_flows_ = 0;
   obs::Gauge* components_gauge_ = nullptr;  // net_components
@@ -364,19 +363,13 @@ class FluidNetwork {
   // Epoch-marked scratch (avoids O(pool) clears per solve).
   std::vector<std::uint64_t> transfer_mark_;
   std::vector<std::uint64_t> comp_mark_;
-  std::vector<std::uint64_t> res_mark_;
   std::uint64_t mark_epoch_ = 0;
-  std::vector<std::uint32_t> transfer_scratch_;  // distinct transfers of a comp
   std::vector<std::uint32_t> merge_scratch_;     // distinct comps of a path
-  std::vector<std::uint32_t> uf_parent_;         // rebuild union-find, by rid
   std::vector<std::uint32_t> dirty_scratch_;     // solve worklist
-  std::vector<std::pair<std::uint32_t, std::uint32_t>> group_scratch_;
   std::vector<Resource*> pending_res_;  // flowless resources with gauge edits
   // Touch scratch (safe to reuse: touch never runs re-entrantly).
-  std::vector<TransferId> completed_scratch_;
-  std::vector<std::function<void()>> notify_scratch_;
-  std::vector<std::pair<std::uint32_t, TransferId>> due_headless_;
-  std::vector<std::pair<std::uint32_t, TransferId>> due_scratch_;
+  std::vector<Notice> notices_;
+  std::vector<TransferCallbacks> finished_;  // completed, in notice order
 };
 
 }  // namespace esg::net

@@ -369,30 +369,71 @@ TEST(FluidComponents, BridgeFlowMergesIslands) {
   (void)bridge;
 }
 
-TEST(FluidComponents, RemovingBridgeSplitsIslandsAgain) {
+TEST(FluidComponents, RemovingBridgeLeavesIslandsMerged) {
   es::Simulation sim;
   en::FluidNetwork fluid(sim);
   const TwoIslands w = make_two_islands(fluid);
+  en::Resource* x = fluid.add_resource("x", 5'000'000);
   const auto bridge = fluid.start_transfer(
-      {en::FlowSpec{{w.a2, w.b1}, en::kUnlimitedRate}}, en::kUnboundedBytes,
-      {});
+      {en::FlowSpec{{w.a2, x, w.b1}, en::kUnlimitedRate}},
+      en::kUnboundedBytes, {});
   ASSERT_EQ(fluid.components(), 1u);
+  ASSERT_GT(x->utilization(), 0.0);
 
-  const std::uint64_t rebuilds_before = fluid.component_rebuilds();
   fluid.cancel_transfer(bridge);
 
-  EXPECT_GT(fluid.component_rebuilds(), rebuilds_before)
-      << "removing the bridge must trigger a lazy union-find rebuild";
-  EXPECT_EQ(fluid.components(), 2u);
-  EXPECT_TRUE(fluid.same_component(w.a1, w.a2));
-  EXPECT_FALSE(fluid.same_component(w.a1, w.b1));
+  // Components never split: the islands stay welded, but the resource only
+  // the bridge crossed drops out with its usage zeroed.
+  EXPECT_EQ(fluid.components(), 1u);
+  EXPECT_TRUE(fluid.same_component(w.a1, w.b2));
+  EXPECT_FALSE(fluid.same_component(x, w.a2));
+  EXPECT_FALSE(fluid.same_component(x, w.b1));
+  EXPECT_EQ(x->utilization(), 0.0);
 
-  // Isolation is restored: an island-A mutation leaves island B alone.
-  const double b_rate = fluid.flow_rate(w.tb, 0);
+  // Solving the merged component still gives the reference rates.
   fluid.reset_solve_stats();
   fluid.set_flow_cap(w.ta, 1, 300'000);
-  EXPECT_EQ(fluid.last_solve_flows(), 2u);
-  EXPECT_EQ(fluid.flow_rate(w.tb, 0), b_rate);
+  EXPECT_EQ(fluid.last_solve_flows(), 3u);
+  std::vector<en::ReferenceFlow> ref = {
+      {{w.a1, w.a2}, en::kUnlimitedRate, 0.0},
+      {{w.a2}, 300'000, 0.0},
+      {{w.b1, w.b2}, en::kUnlimitedRate, 0.0}};
+  en::reference_waterfill(ref);
+  EXPECT_NEAR(fluid.flow_rate(w.ta, 0), ref[0].rate,
+              rate_tolerance(ref[0].rate));
+  EXPECT_NEAR(fluid.flow_rate(w.ta, 1), ref[1].rate,
+              rate_tolerance(ref[1].rate));
+  EXPECT_NEAR(fluid.flow_rate(w.tb, 0), ref[2].rate,
+              rate_tolerance(ref[2].rate));
+}
+
+TEST(FluidComponents, SharedResourceStaysAttachedUntilLastFlowLeaves) {
+  es::Simulation sim;
+  en::FluidNetwork fluid(sim);
+  auto* p = fluid.add_resource("p", 1'000'000);
+  auto* q = fluid.add_resource("q", 1'000'000);
+  auto* s = fluid.add_resource("s", 4'000'000);
+  const auto first = fluid.start_transfer(
+      {en::FlowSpec{{p, q}, en::kUnlimitedRate}}, en::kUnboundedBytes, {});
+  const auto second = fluid.start_transfer(
+      {en::FlowSpec{{q, s}, en::kUnlimitedRate}}, en::kUnboundedBytes, {});
+  ASSERT_TRUE(fluid.same_component(p, s));
+
+  // q still carries the second flow: only p drops out.
+  fluid.cancel_transfer(first);
+  EXPECT_EQ(fluid.components(), 1u);
+  EXPECT_FALSE(fluid.same_component(p, q));
+  EXPECT_EQ(p->utilization(), 0.0);
+  EXPECT_TRUE(fluid.same_component(q, s));
+  EXPECT_NEAR(q->utilization(), 1.0, 1e-9);
+  EXPECT_NEAR(fluid.current_rate(second), 1'000'000.0, 1.0);
+
+  // The last flow leaves: q and s are orphaned and the component retires.
+  fluid.cancel_transfer(second);
+  EXPECT_EQ(fluid.components(), 0u);
+  EXPECT_FALSE(fluid.same_component(q, s));
+  EXPECT_EQ(q->utilization(), 0.0);
+  EXPECT_EQ(s->utilization(), 0.0);
 }
 
 TEST(FluidComponents, CancellingLastTransferRetiresComponent) {
@@ -408,10 +449,11 @@ TEST(FluidComponents, CancellingLastTransferRetiresComponent) {
   EXPECT_EQ(fluid.components(), 0u);
 }
 
-// Randomized merge/split churn: island-local transfers come and go, bridge
-// transfers weld islands together and their cancellation splits them apart.
-// After every round the full rate vector must match the reference solver run
-// over the same population.
+// Randomized merge churn: island-local transfers come and go, and bridge
+// transfers weld islands together.  Cancelling a bridge leaves the islands
+// in one component (components never split) and orphans only the resources
+// no flow crosses any more.  After every round the full rate vector must
+// match the reference solver run over the same population.
 class FluidComponentChurn : public ::testing::TestWithParam<int> {};
 
 TEST_P(FluidComponentChurn, EquivalenceUnderMergeSplitChurn) {
@@ -497,7 +539,7 @@ TEST_P(FluidComponentChurn, EquivalenceUnderMergeSplitChurn) {
         start_mirrored({{std::move(path), random_cap()}});
         break;
       }
-      case 2: {  // cancel a random transfer (may split a merged component)
+      case 2: {  // cancel a random transfer (merged components stay merged)
         if (mirrors.size() <= 2) break;
         const auto k = rng.uniform_int(mirrors.size());
         fluid.cancel_transfer(mirrors[k].id);

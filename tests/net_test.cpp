@@ -212,6 +212,60 @@ TEST(Fluid, MultiResourcePathUsesTightest) {
   EXPECT_NEAR(fluid.current_rate(id), 2'000'000, 1.0);
 }
 
+TEST(Fluid, CancelFromCallbackStopsQueuedProgress) {
+  // Three watched transfers progress on the same poll tick, so their
+  // notices queue together in id order.  The first one's callback cancels
+  // the second, which must then see no further callback; the third cancels
+  // itself from inside its own callback, and that call must finish intact.
+  es::Simulation sim;
+  en::FluidNetwork fluid(sim, 100 * kMillisecond);
+  auto* r = fluid.add_resource("pipe", 3'000'000);
+  en::TransferId victim = 0;
+  en::TransferId self = 0;
+  int first_calls = 0;
+  int victim_calls_after_cancel = 0;
+  bool victim_cancelled = false;
+  std::vector<int> self_calls;
+  fluid.start_transfer(
+      {en::FlowSpec{{r}, en::kUnlimitedRate}}, en::kUnboundedBytes,
+      {[&](ec::Bytes, ec::SimTime) {
+         ++first_calls;
+         if (!victim_cancelled) {
+           victim_cancelled = true;
+           fluid.cancel_transfer(victim);
+         }
+       },
+       nullptr});
+  victim = fluid.start_transfer(
+      {en::FlowSpec{{r}, en::kUnlimitedRate}}, en::kUnboundedBytes,
+      {[&](ec::Bytes, ec::SimTime) {
+         if (victim_cancelled) ++victim_calls_after_cancel;
+       },
+       [&] { ++victim_calls_after_cancel; }});
+  self = fluid.start_transfer(
+      {en::FlowSpec{{r}, en::kUnlimitedRate}}, en::kUnboundedBytes,
+      {[&, tag = 7](ec::Bytes, ec::SimTime) {
+         fluid.cancel_transfer(self);
+         // Starting a transfer may move the transfer pool; the running
+         // callback must not live there.
+         for (int i = 0; i < 64; ++i) {
+           fluid.start_transfer({en::FlowSpec{{r}, en::kUnlimitedRate}},
+                                1'000, {});
+         }
+         self_calls.push_back(tag);
+       },
+       nullptr});
+
+  sim.run_until(1 * kSecond);
+  EXPECT_TRUE(victim_cancelled);
+  EXPECT_GT(first_calls, 1);
+  EXPECT_EQ(victim_calls_after_cancel, 0)
+      << "a cancelled transfer must not receive its queued progress notice";
+  EXPECT_FALSE(fluid.transfer_active(victim));
+  EXPECT_EQ(self_calls, std::vector<int>{7});
+  EXPECT_FALSE(fluid.transfer_active(self));
+}
+
 TEST(Fluid, ZeroByteTransferCompletesImmediately) {
   es::Simulation sim;
   en::FluidNetwork fluid(sim);

@@ -7,12 +7,15 @@
 # or a bench failing outright — fails the gate.
 #
 # The manifests deliberately carry only machine-independent numbers: heap
-# allocations per solve/touch, solver-invariant counters (flows walked per
-# touch, max component solve size, live component count, calendar-drained
-# completions), and sim-time metrics (sim_queue_depth/purges, net_components,
-# net_component_solve_size) — never wall-clock timings.  A regression in the
-# partitioned solver's isolation (a mutation touching more than its island)
-# or in steady-state allocation discipline therefore fails this gate
+# allocations per solve, per touch and per steady poll tick, solver-invariant
+# counters (flows walked per touch, max component solve size, live component
+# count, bounded transfers drained), and sim-time metrics
+# (sim_queue_depth/purges, net_components, net_component_solve_size) — never
+# wall-clock timings.  Every bench transfer carries progress and completion
+# callbacks, as TcpTransfer's do, so the numbers cover the one transfer path
+# every world takes.  A regression in the partitioned solver's isolation (a
+# mutation solving more than its island) or in steady-state allocation
+# discipline (a progress notice that allocates) therefore fails this gate
 # deterministically on any machine.
 #
 # Invoked by ctest as:
