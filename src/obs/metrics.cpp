@@ -84,11 +84,16 @@ double histogram_quantile(const std::vector<double>& boundaries,
 }
 
 std::vector<std::uint64_t> Histogram::bucket_counts() const {
-  std::vector<std::uint64_t> out(boundaries_.size() + 1);
+  std::vector<std::uint64_t> out;
+  read_buckets(out);
+  return out;
+}
+
+void Histogram::read_buckets(std::vector<std::uint64_t>& out) const {
+  out.resize(boundaries_.size() + 1);
   for (std::size_t i = 0; i < out.size(); ++i) {
     out[i] = buckets_[i].load(std::memory_order_relaxed);
   }
-  return out;
 }
 
 const SnapshotEntry* MetricsSnapshot::find(std::string_view name,
@@ -117,17 +122,29 @@ double MetricsSnapshot::family_total(std::string_view name) const {
 Counter& MetricsRegistry::counter(std::string_view name, Labels labels) {
   Key key{std::string(name), normalize_labels(std::move(labels))};
   std::scoped_lock lock(mu_);
-  auto& slot = counters_[std::move(key)];
-  if (!slot) slot = std::make_unique<Counter>();
-  return *slot;
+  const auto [it, fresh] = counters_.try_emplace(std::move(key));
+  if (fresh) {
+    it->second = std::make_unique<Counter>();
+    cells_.push_back({.kind = MetricKind::counter,
+                      .name = &it->first.first,
+                      .labels = &it->first.second,
+                      .counter = it->second.get()});
+  }
+  return *it->second;
 }
 
 Gauge& MetricsRegistry::gauge(std::string_view name, Labels labels) {
   Key key{std::string(name), normalize_labels(std::move(labels))};
   std::scoped_lock lock(mu_);
-  auto& slot = gauges_[std::move(key)];
-  if (!slot) slot = std::make_unique<Gauge>();
-  return *slot;
+  const auto [it, fresh] = gauges_.try_emplace(std::move(key));
+  if (fresh) {
+    it->second = std::make_unique<Gauge>();
+    cells_.push_back({.kind = MetricKind::gauge,
+                      .name = &it->first.first,
+                      .labels = &it->first.second,
+                      .gauge = it->second.get()});
+  }
+  return *it->second;
 }
 
 Histogram& MetricsRegistry::histogram(std::string_view name,
@@ -135,9 +152,15 @@ Histogram& MetricsRegistry::histogram(std::string_view name,
                                       Labels labels) {
   Key key{std::string(name), normalize_labels(std::move(labels))};
   std::scoped_lock lock(mu_);
-  auto& slot = histograms_[std::move(key)];
-  if (!slot) slot = std::make_unique<Histogram>(std::move(boundaries));
-  return *slot;
+  const auto [it, fresh] = histograms_.try_emplace(std::move(key));
+  if (fresh) {
+    it->second = std::make_unique<Histogram>(std::move(boundaries));
+    cells_.push_back({.kind = MetricKind::histogram,
+                      .name = &it->first.first,
+                      .labels = &it->first.second,
+                      .histogram = it->second.get()});
+  }
+  return *it->second;
 }
 
 MetricsSnapshot MetricsRegistry::snapshot(common::SimTime at) const {
@@ -188,7 +211,13 @@ MetricsSnapshot MetricsRegistry::snapshot(common::SimTime at) const {
 
 std::size_t MetricsRegistry::series_count() const {
   std::scoped_lock lock(mu_);
-  return counters_.size() + gauges_.size() + histograms_.size();
+  return cells_.size();
+}
+
+MetricCell MetricsRegistry::cell(std::size_t id) const {
+  std::scoped_lock lock(mu_);
+  assert(id < cells_.size());
+  return cells_[id];
 }
 
 std::vector<double> duration_boundaries() {

@@ -16,6 +16,12 @@
 // benchmark harness's per-thread simulations and checked under TSAN (see
 // the `obs` ctest label).
 //
+// Every series (a *cell*) also gets a dense id in creation order, shared by
+// all three kinds.  `cell(id)` hands out the cell's kind, identity and
+// instrument, so a reader that walks ids 0..series_count()-1 once per tick —
+// the telemetry sampler (obs/timeseries.hpp) — reads the atomics directly
+// and needs no lookup, copy or sort.
+//
 // `snapshot(at)` captures every series at a simulated instant into a
 // deterministic, sorted MetricsSnapshot that the exporters (obs/export.hpp)
 // turn into Prometheus text or JSON; same-seed runs produce bit-identical
@@ -93,6 +99,8 @@ class Histogram {
   double sum() const { return sum_.load(std::memory_order_relaxed); }
   /// Per-bucket counts, size boundaries().size() + 1 (last = overflow).
   std::vector<std::uint64_t> bucket_counts() const;
+  /// The same counts into `out`, reusing its storage.
+  void read_buckets(std::vector<std::uint64_t>& out) const;
   /// Estimated p-quantile (see histogram_quantile below).
   double quantile(double p) const {
     return histogram_quantile(boundaries_, bucket_counts(), p);
@@ -106,6 +114,18 @@ class Histogram {
 };
 
 enum class MetricKind { counter, gauge, histogram };
+
+/// One registered series, addressed by its dense cell id.  The pointers stay
+/// valid for the registry's lifetime; exactly one instrument is set, the one
+/// `kind` names.
+struct MetricCell {
+  MetricKind kind = MetricKind::counter;
+  const std::string* name = nullptr;
+  const Labels* labels = nullptr;  // normalized
+  const Counter* counter = nullptr;
+  const Gauge* gauge = nullptr;
+  const Histogram* histogram = nullptr;
+};
 
 /// One series captured at snapshot time.
 struct SnapshotEntry {
@@ -155,7 +175,11 @@ class MetricsRegistry {
                        Labels labels = {});
 
   MetricsSnapshot snapshot(common::SimTime at) const;
+  /// Series (cells) registered so far; their ids are 0 .. series_count() - 1,
+  /// in creation order.
   std::size_t series_count() const;
+  /// The cell with id `id` (< series_count()).
+  MetricCell cell(std::size_t id) const;
 
  private:
   using Key = std::pair<std::string, Labels>;
@@ -164,6 +188,7 @@ class MetricsRegistry {
   std::map<Key, std::unique_ptr<Counter>> counters_;
   std::map<Key, std::unique_ptr<Gauge>> gauges_;
   std::map<Key, std::unique_ptr<Histogram>> histograms_;
+  std::vector<MetricCell> cells_;  // by cell id
 };
 
 /// Conventional boundaries for simulated-seconds durations (tape waits,

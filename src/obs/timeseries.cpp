@@ -21,37 +21,30 @@ bool labels_contain(const Labels& labels, const Labels& subset) {
 
 // ---- rings ----
 
-void TimeSeries::RawRing::push(SeriesPoint p) {
+template <typename T>
+void TimeSeries::Ring<T>::push(const T& p) {
+  if (slots.size() < capacity) {
+    // Double from a small start, clamped so the ring never allocates past
+    // its configured capacity (std::vector's own growth would).
+    if (slots.size() == slots.capacity()) {
+      constexpr std::size_t kFirstSlots = 16;
+      slots.reserve(
+          std::min(capacity, std::max(kFirstSlots, 2 * slots.size())));
+    }
+    slots.push_back(p);
+    return;
+  }
   slots[head] = p;
-  head = (head + 1) % slots.size();
-  if (size < slots.size()) ++size;
-}
-
-const SeriesPoint& TimeSeries::RawRing::at(std::size_t i) const {
-  assert(i < size);
-  const std::size_t oldest = (head + slots.size() - size) % slots.size();
-  return slots[(oldest + i) % slots.size()];
-}
-
-void TimeSeries::RollupRing::push(RollupPoint p) {
-  slots[head] = p;
-  head = (head + 1) % slots.size();
-  if (size < slots.size()) ++size;
-}
-
-const RollupPoint& TimeSeries::RollupRing::at(std::size_t i) const {
-  assert(i < size);
-  const std::size_t oldest = (head + slots.size() - size) % slots.size();
-  return slots[(oldest + i) % slots.size()];
+  head = (head + 1) % capacity;
 }
 
 // ---- series ----
 
 TimeSeries::TimeSeries(const TimeSeriesConfig& cfg)
     : fine_width_(cfg.fine_width), coarse_width_(cfg.coarse_width) {
-  raw_.slots.resize(std::max<std::size_t>(1, cfg.raw_capacity));
-  fine_.slots.resize(std::max<std::size_t>(1, cfg.fine_capacity));
-  coarse_.slots.resize(std::max<std::size_t>(1, cfg.coarse_capacity));
+  raw_.capacity = std::max<std::size_t>(1, cfg.raw_capacity);
+  fine_.capacity = std::max<std::size_t>(1, cfg.fine_capacity);
+  coarse_.capacity = std::max<std::size_t>(1, cfg.coarse_capacity);
 }
 
 void TimeSeries::roll(OpenBucket& bucket, RollupRing& ring,
@@ -88,29 +81,31 @@ void TimeSeries::append(common::SimTime at, double value) {
 
 std::vector<SeriesPoint> TimeSeries::raw() const {
   std::vector<SeriesPoint> out;
-  out.reserve(raw_.size);
-  for (std::size_t i = 0; i < raw_.size; ++i) out.push_back(raw_.at(i));
+  out.reserve(raw_.size());
+  for (std::size_t i = 0; i < raw_.size(); ++i) out.push_back(raw_.at(i));
   return out;
 }
 
 std::vector<RollupPoint> TimeSeries::fine() const {
   std::vector<RollupPoint> out;
-  out.reserve(fine_.size);
-  for (std::size_t i = 0; i < fine_.size; ++i) out.push_back(fine_.at(i));
+  out.reserve(fine_.size());
+  for (std::size_t i = 0; i < fine_.size(); ++i) out.push_back(fine_.at(i));
   return out;
 }
 
 std::vector<RollupPoint> TimeSeries::coarse() const {
   std::vector<RollupPoint> out;
-  out.reserve(coarse_.size);
-  for (std::size_t i = 0; i < coarse_.size; ++i) out.push_back(coarse_.at(i));
+  out.reserve(coarse_.size());
+  for (std::size_t i = 0; i < coarse_.size(); ++i) {
+    out.push_back(coarse_.at(i));
+  }
   return out;
 }
 
 bool TimeSeries::value_at(common::SimTime t, double* out) const {
   // Raw ring first: binary search over the monotone retained window.
-  if (raw_.size > 0 && raw_.at(0).at <= t) {
-    std::size_t lo = 0, hi = raw_.size;  // first index with at > t
+  if (raw_.size() > 0 && raw_.at(0).at <= t) {
+    std::size_t lo = 0, hi = raw_.size();  // first index with at > t
     while (lo < hi) {
       const std::size_t mid = lo + (hi - lo) / 2;
       if (raw_.at(mid).at <= t) {
@@ -127,7 +122,7 @@ bool TimeSeries::value_at(common::SimTime t, double* out) const {
   // value at its first retained sample — the best available stand-in.
   auto from_ring = [t, out](const RollupRing& ring,
                             common::SimDuration width) {
-    for (std::size_t i = ring.size; i-- > 0;) {
+    for (std::size_t i = ring.size(); i-- > 0;) {
       const RollupPoint& p = ring.at(i);
       if (p.start <= t) {
         *out = (t < p.start + width) ? p.min : p.max;
@@ -147,11 +142,11 @@ double TimeSeries::delta(common::SimTime from, common::SimTime to) const {
   if (!value_at(from, &v_from)) {
     // Window opens before anything retained: count from the oldest known
     // value (the series may have started mid-window).
-    if (coarse_.size > 0) {
+    if (coarse_.size() > 0) {
       v_from = coarse_.at(0).min;
-    } else if (fine_.size > 0) {
+    } else if (fine_.size() > 0) {
       v_from = fine_.at(0).min;
-    } else if (raw_.size > 0) {
+    } else if (raw_.size() > 0) {
       v_from = raw_.at(0).value;
     } else {
       return 0.0;
@@ -177,21 +172,21 @@ WindowStats TimeSeries::stats(common::SimTime from, common::SimTime to) const {
   // Raw samples cover the newest span; rollup buckets answer for the part
   // of the window older than the oldest retained raw sample.
   const common::SimTime raw_begin =
-      raw_.size > 0 ? raw_.at(0).at : to + 1;
-  for (std::size_t i = 0; i < raw_.size; ++i) {
+      raw_.size() > 0 ? raw_.at(0).at : to + 1;
+  for (std::size_t i = 0; i < raw_.size(); ++i) {
     const SeriesPoint& p = raw_.at(i);
     if (p.at <= from || p.at > to) continue;
     fold(p.value, p.value, p.value, 1);
   }
-  for (std::size_t i = 0; i < fine_.size; ++i) {
+  for (std::size_t i = 0; i < fine_.size(); ++i) {
     const RollupPoint& p = fine_.at(i);
     if (p.start + fine_width_ <= from || p.start > to) continue;
     if (p.start + fine_width_ > raw_begin) continue;  // raw already counted
     fold(p.min, p.max, p.sum, p.count);
   }
   const common::SimTime fine_begin =
-      fine_.size > 0 ? fine_.at(0).start : raw_begin;
-  for (std::size_t i = 0; i < coarse_.size; ++i) {
+      fine_.size() > 0 ? fine_.at(0).start : raw_begin;
+  for (std::size_t i = 0; i < coarse_.size(); ++i) {
     const RollupPoint& p = coarse_.at(i);
     if (p.start + coarse_width_ <= from || p.start > to) continue;
     if (p.start + coarse_width_ > std::min(raw_begin, fine_begin)) continue;
@@ -225,19 +220,53 @@ void TimeSeriesStore::append(std::string_view name, Labels labels,
   last_sample_at_ = at;
 }
 
+TimeSeriesStore::SampledCell TimeSeriesStore::resolve(const MetricCell& cell) {
+  SampledCell sampled{cell, {}};
+  if (cell.kind == MetricKind::histogram) {
+    static constexpr std::array<const char*, 4> kDerived = {
+        ":count", ":sum", ":p50", ":p99"};
+    for (std::size_t i = 0; i < kDerived.size(); ++i) {
+      sampled.series[i] = &series(*cell.name + kDerived[i], *cell.labels);
+    }
+  } else {
+    sampled.series[0] = &series(*cell.name, *cell.labels);
+  }
+  return sampled;
+}
+
 void TimeSeriesStore::sample_registry(const MetricsRegistry& registry,
                                       common::SimTime at) {
-  const MetricsSnapshot snap = registry.snapshot(at);
-  for (const auto& e : snap.entries) {
-    if (e.kind == MetricKind::histogram) {
-      append(e.name + ":count", e.labels, at, static_cast<double>(e.count));
-      append(e.name + ":sum", e.labels, at, e.sum);
-      append(e.name + ":p50", e.labels, at, e.quantile(0.50));
-      append(e.name + ":p99", e.labels, at, e.quantile(0.99));
-    } else {
-      append(e.name, e.labels, at, e.value);
+  assert(registry_ == nullptr || registry_ == &registry);
+  registry_ = &registry;
+  for (std::size_t id = cells_.size(), n = registry.series_count(); id < n;
+       ++id) {
+    cells_.push_back(resolve(registry.cell(id)));
+  }
+  for (const SampledCell& c : cells_) {
+    switch (c.cell.kind) {
+      case MetricKind::counter:
+        c.series[0]->append(at, static_cast<double>(c.cell.counter->value()));
+        ++samples_total_;
+        break;
+      case MetricKind::gauge:
+        c.series[0]->append(at, c.cell.gauge->value());
+        ++samples_total_;
+        break;
+      case MetricKind::histogram: {
+        const Histogram& h = *c.cell.histogram;
+        h.read_buckets(buckets_);
+        c.series[0]->append(at, static_cast<double>(h.count()));
+        c.series[1]->append(at, h.sum());
+        c.series[2]->append(at,
+                            histogram_quantile(h.boundaries(), buckets_, 0.50));
+        c.series[3]->append(at,
+                            histogram_quantile(h.boundaries(), buckets_, 0.99));
+        samples_total_ += 4;
+        break;
+      }
     }
   }
+  if (!cells_.empty()) last_sample_at_ = at;
 }
 
 double TimeSeriesStore::family_delta(std::string_view name,

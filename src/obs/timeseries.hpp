@@ -9,27 +9,34 @@
 //
 // The TimeSeriesStore keeps that history with strictly bounded memory.  A
 // series is (name, labels), the same identity the registry uses.  Each
-// series owns three fixed-capacity rings:
+// series owns three bounded rings:
 //
 //   * raw      — every sample as (sim-time, value);
 //   * fine     — rollups of min/max/sum/count per 10 s bucket (default);
 //   * coarse   — the same per 60 s bucket.
 //
-// Rings overwrite oldest-first, so a series costs the same whether it holds
-// ten samples or ten million (verified by a 1M-sample test).  Queries that
+// Rings start empty, grow on demand up to their TimeSeriesConfig capacity
+// and then overwrite oldest-first, so a series costs at most the same
+// whether it holds ten samples or ten million (verified by a 1M-sample
+// test), and a short-lived series costs only what it holds.  Queries that
 // reach past the raw window fall back to the rollups, so windowed deltas
 // and stats stay answerable for the whole retained horizon.
 //
-// Feeding the store is one call — `sample_registry(registry, now)` snapshots
-// every instrumented subsystem (rm, gridftp, net, hrm, campaign, chaos) into
-// series with zero call-site changes; histograms additionally emit derived
-// `<name>:p50` / `<name>:p99` / `<name>:count` / `<name>:sum` series so
-// quantiles become plottable over time.  sim::Simulation schedules that
-// call on the simulated clock (start_telemetry), which makes every sample —
-// and every alert computed from them (obs/alert.hpp) — byte-deterministic
-// across same-seed runs.
+// Feeding the store is one call — `sample_registry(registry, now)` walks
+// the registry's cells (obs/metrics.hpp) in id order and appends one sample
+// per series for every instrumented subsystem (rm, gridftp, net, hrm,
+// campaign, chaos) with zero call-site changes; histograms additionally
+// emit derived `<name>:p50` / `<name>:p99` / `<name>:count` / `<name>:sum`
+// series so quantiles become plottable over time.  A cell is resolved to
+// its series once, on the first tick that sees it; every later tick only
+// reads atomics and appends, and allocates nothing once the rings are
+// full.  sim::Simulation schedules that call on the simulated clock
+// (start_telemetry), which makes every sample — and every alert computed
+// from them (obs/alert.hpp) — byte-deterministic across same-seed runs.
 #pragma once
 
+#include <array>
+#include <cassert>
 #include <cstdint>
 #include <map>
 #include <memory>
@@ -82,7 +89,8 @@ struct TimeSeriesConfig {
 };
 
 /// One (name, labels) series: a raw ring plus two rollup rings.  Appends
-/// must carry non-decreasing times (the sim clock guarantees it).
+/// must carry non-decreasing times (the sim clock guarantees it).  The
+/// rings allocate as samples arrive, never past the configured capacities.
 class TimeSeries {
  public:
   explicit TimeSeries(const TimeSeriesConfig& cfg);
@@ -96,9 +104,15 @@ class TimeSeries {
   std::vector<RollupPoint> coarse() const;
 
   std::uint64_t samples() const { return samples_; }
-  std::size_t raw_size() const { return raw_.size; }
-  std::size_t fine_size() const { return fine_.size; }
-  std::size_t coarse_size() const { return coarse_.size; }
+  std::size_t raw_size() const { return raw_.size(); }
+  std::size_t fine_size() const { return fine_.size(); }
+  std::size_t coarse_size() const { return coarse_.size(); }
+  /// Slots the three rings have allocated together; each ring allocates at
+  /// most its configured capacity.
+  std::size_t allocated_slots() const {
+    return raw_.slots.capacity() + fine_.slots.capacity() +
+           coarse_.slots.capacity();
+  }
 
   /// Whole-life aggregates (never evicted).
   double life_min() const { return life_min_; }
@@ -120,20 +134,21 @@ class TimeSeries {
   WindowStats stats(common::SimTime from, common::SimTime to) const;
 
  private:
-  struct RawRing {
-    std::vector<SeriesPoint> slots;
-    std::size_t head = 0;  // next write position
-    std::size_t size = 0;
-    void push(SeriesPoint p);
-    const SeriesPoint& at(std::size_t i) const;  // i=0 oldest
+  /// Grows one slot per push up to `capacity`, then overwrites the oldest.
+  template <typename T>
+  struct Ring {
+    std::vector<T> slots;
+    std::size_t capacity = 1;
+    std::size_t head = 0;  // oldest slot (and next write) once full
+    std::size_t size() const { return slots.size(); }
+    void push(const T& p);
+    const T& at(std::size_t i) const {  // i=0 oldest
+      assert(i < slots.size());
+      return slots[(head + i) % slots.size()];
+    }
   };
-  struct RollupRing {
-    std::vector<RollupPoint> slots;
-    std::size_t head = 0;
-    std::size_t size = 0;
-    void push(RollupPoint p);
-    const RollupPoint& at(std::size_t i) const;
-  };
+  using RawRing = Ring<SeriesPoint>;
+  using RollupRing = Ring<RollupPoint>;
   struct OpenBucket {
     common::SimTime start = -1;
     RollupPoint agg;
@@ -171,10 +186,12 @@ class TimeSeriesStore {
   void append(std::string_view name, Labels labels, common::SimTime at,
               double value);
 
-  /// The sampling hook: snapshot `registry` and append one sample per
-  /// series.  Counters and gauges sample their value; histograms sample
-  /// derived `<name>:count`, `<name>:sum`, `<name>:p50` and `<name>:p99`
-  /// series.  Instrumented code needs no changes to start emitting history.
+  /// The sampling hook: append one sample per series of every cell in
+  /// `registry`, walking the cells in id order.  Counters and gauges sample
+  /// their value; histograms sample derived `<name>:count`, `<name>:sum`,
+  /// `<name>:p50` and `<name>:p99` series.  Instrumented code needs no
+  /// changes to start emitting history.  The store keeps pointers into the
+  /// registry, so it samples one registry, which must outlive it.
   void sample_registry(const MetricsRegistry& registry, common::SimTime at);
 
   /// Sum of delta(from, to] over every series whose name is `name` and
@@ -199,8 +216,20 @@ class TimeSeriesStore {
  private:
   using Key = std::pair<std::string, Labels>;
 
+  /// A registry cell as the sampler reads it: the instrument and the series
+  /// its samples land in (`:count`, `:sum`, `:p50`, `:p99` for a
+  /// histogram, only series[0] otherwise).
+  struct SampledCell {
+    MetricCell cell;
+    std::array<TimeSeries*, 4> series{};
+  };
+  SampledCell resolve(const MetricCell& cell);
+
   TimeSeriesConfig cfg_;
   std::map<Key, std::unique_ptr<TimeSeries>> series_;
+  const MetricsRegistry* registry_ = nullptr;  // the one registry sampled
+  std::vector<SampledCell> cells_;             // by registry cell id
+  std::vector<std::uint64_t> buckets_;         // reused histogram read
   std::uint64_t samples_total_ = 0;
   common::SimTime last_sample_at_ = 0;
 };

@@ -1,7 +1,9 @@
-// Streaming-telemetry tests (ctest label "telemetry"): the fixed-memory
-// TimeSeriesStore (ring bounds under 1M samples, rollup math, windowed
-// queries past the raw horizon), the sampling hook over the metrics
-// registry, the online AlertEngine (burn-rate multi-window rules, EWMA +
+// Streaming-telemetry tests (ctest label "telemetry"): the bounded-memory
+// TimeSeriesStore (ring bounds under 1M samples, rings that grow only as
+// far as they fill, rollup math, windowed queries past the raw horizon),
+// the sampling hook over the metrics registry (checked against a snapshot
+// reference as cells arrive mid-run, and allocation-free once the rings
+// are full), the online AlertEngine (burn-rate multi-window rules, EWMA +
 // CUSUM anomaly detection, flight events), root-cause correlation of
 // firings against injected faults, manifest serialization of alert/series
 // timelines (byte-deterministic round-trip, drift detection), flight-ring
@@ -9,6 +11,9 @@
 // scheduled on the simulated clock.
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <cstdlib>
+#include <new>
 #include <string>
 #include <vector>
 
@@ -23,6 +28,51 @@
 namespace eo = esg::obs;
 namespace ec = esg::common;
 namespace es = esg::sim;
+
+// Global operator new counts every heap allocation and its bytes, so the
+// tests below can pin what sampling allocates.  The tests are
+// single-threaded.  Every replaceable form is defined, so that under ASan
+// no block is allocated by one allocator and freed by another.
+namespace {
+std::uint64_t g_allocs = 0;
+std::uint64_t g_alloc_bytes = 0;
+
+void* counted_alloc(std::size_t size) noexcept {
+  ++g_allocs;
+  g_alloc_bytes += size;
+  return std::malloc(size ? size : 1);
+}
+}  // namespace
+
+void* operator new(std::size_t size) {
+  if (void* p = counted_alloc(size)) return p;
+  throw std::bad_alloc();
+}
+void* operator new[](std::size_t size) { return operator new(size); }
+void* operator new(std::size_t size, const std::nothrow_t&) noexcept {
+  return counted_alloc(size);
+}
+void* operator new[](std::size_t size, const std::nothrow_t&) noexcept {
+  return counted_alloc(size);
+}
+// Out of line: inlined into the cleanup of a `new T`, the free() would trip
+// GCC's -Wmismatched-new-delete.
+[[gnu::noinline]] void operator delete(void* p) noexcept { std::free(p); }
+[[gnu::noinline]] void operator delete[](void* p) noexcept { std::free(p); }
+[[gnu::noinline]] void operator delete(void* p, std::size_t) noexcept {
+  std::free(p);
+}
+[[gnu::noinline]] void operator delete[](void* p, std::size_t) noexcept {
+  std::free(p);
+}
+[[gnu::noinline]] void operator delete(void* p,
+                                       const std::nothrow_t&) noexcept {
+  std::free(p);
+}
+[[gnu::noinline]] void operator delete[](void* p,
+                                         const std::nothrow_t&) noexcept {
+  std::free(p);
+}
 
 using ec::kSecond;
 using ec::SimTime;
@@ -43,6 +93,9 @@ TEST(TimeSeries, MemoryIsBoundedUnderAMillionSamples) {
   EXPECT_LE(s.coarse_size(), cfg.coarse_capacity);
   EXPECT_EQ(s.fine_size(), cfg.fine_capacity);    // long past full
   EXPECT_EQ(s.coarse_size(), cfg.coarse_capacity);
+  // Every ring is full, so no ring allocated a slot past its capacity.
+  EXPECT_LE(s.allocated_slots(),
+            cfg.raw_capacity + cfg.fine_capacity + cfg.coarse_capacity);
   // Life aggregates never evict.
   EXPECT_DOUBLE_EQ(s.life_min(), 0.0);
   EXPECT_DOUBLE_EQ(s.life_max(), 999'999.0);
@@ -51,6 +104,25 @@ TEST(TimeSeries, MemoryIsBoundedUnderAMillionSamples) {
   ASSERT_EQ(raw.size(), cfg.raw_capacity);
   EXPECT_DOUBLE_EQ(raw.front().value, 1'000'000.0 - 600.0);
   EXPECT_DOUBLE_EQ(raw.back().value, 999'999.0);
+}
+
+TEST(TimeSeries, ShortSeriesAllocatesOnlyWhatItHolds) {
+  const eo::TimeSeriesConfig cfg;
+  auto bytes_for = [&cfg](int samples) {
+    const std::uint64_t before = g_alloc_bytes;
+    eo::TimeSeries s(cfg);
+    for (int i = 0; i < samples; ++i) {
+      s.append(static_cast<SimTime>(i) * kSecond, static_cast<double>(i));
+    }
+    return g_alloc_bytes - before;
+  };
+  // Enough 1 s samples to fill every ring, the coarse one last.
+  const int fill = static_cast<int>(
+      (cfg.coarse_capacity + 1) * (cfg.coarse_width / kSecond));
+  const std::uint64_t full = bytes_for(fill);
+  const std::uint64_t ten = bytes_for(10);
+  EXPECT_GT(ten, 0u);
+  EXPECT_LT(ten * 20, full);  // ten samples cost under 5% of a full series
 }
 
 TEST(TimeSeries, RollupBucketsAggregateMinMaxSumCount) {
@@ -162,6 +234,151 @@ TEST(TimeSeriesStore, SampleRegistryEmitsSeriesWithDerivedQuantiles) {
   ASSERT_TRUE(p50->value_at(5 * kSecond, &v));
   EXPECT_DOUBLE_EQ(v, h.quantile(0.50));
   ASSERT_NE(store.find("wait_seconds:p99"), nullptr);
+}
+
+namespace {
+
+// Reference sampler: snapshot the registry, then append every entry under
+// its derived names.  sample_registry must produce exactly what this
+// produces.
+void snapshot_sample(eo::TimeSeriesStore& store,
+                     const eo::MetricsRegistry& registry, SimTime at) {
+  const eo::MetricsSnapshot snap = registry.snapshot(at);
+  for (const auto& e : snap.entries) {
+    if (e.kind == eo::MetricKind::histogram) {
+      store.append(e.name + ":count", e.labels, at,
+                   static_cast<double>(e.count));
+      store.append(e.name + ":sum", e.labels, at, e.sum);
+      store.append(e.name + ":p50", e.labels, at, e.quantile(0.50));
+      store.append(e.name + ":p99", e.labels, at, e.quantile(0.99));
+    } else {
+      store.append(e.name, e.labels, at, e.value);
+    }
+  }
+}
+
+struct NamedSeries {
+  std::string name;
+  eo::Labels labels;
+  const eo::TimeSeries* series;
+};
+
+std::vector<NamedSeries> in_order(const eo::TimeSeriesStore& store) {
+  std::vector<NamedSeries> out;
+  store.for_each([&out](const std::string& name, const eo::Labels& labels,
+                        const eo::TimeSeries& s) {
+    out.push_back({name, labels, &s});
+  });
+  return out;
+}
+
+void expect_same_rollups(const std::vector<eo::RollupPoint>& a,
+                         const std::vector<eo::RollupPoint>& b) {
+  ASSERT_EQ(a.size(), b.size());
+  for (std::size_t i = 0; i < a.size(); ++i) {
+    EXPECT_EQ(a[i].start, b[i].start);
+    EXPECT_EQ(a[i].min, b[i].min);
+    EXPECT_EQ(a[i].max, b[i].max);
+    EXPECT_EQ(a[i].sum, b[i].sum);
+    EXPECT_EQ(a[i].count, b[i].count);
+  }
+}
+
+void expect_same_store(const eo::TimeSeriesStore& got,
+                       const eo::TimeSeriesStore& want) {
+  EXPECT_EQ(got.samples_total(), want.samples_total());
+  EXPECT_EQ(got.last_sample_at(), want.last_sample_at());
+  const auto g = in_order(got);
+  const auto w = in_order(want);
+  ASSERT_EQ(g.size(), w.size());
+  for (std::size_t i = 0; i < g.size(); ++i) {
+    SCOPED_TRACE(w[i].name);
+    EXPECT_EQ(g[i].name, w[i].name);
+    EXPECT_EQ(g[i].labels, w[i].labels);
+    const eo::TimeSeries& gs = *g[i].series;
+    const eo::TimeSeries& ws = *w[i].series;
+    EXPECT_EQ(gs.samples(), ws.samples());
+    EXPECT_EQ(gs.life_min(), ws.life_min());
+    EXPECT_EQ(gs.life_max(), ws.life_max());
+    EXPECT_EQ(gs.life_sum(), ws.life_sum());
+    const auto graw = gs.raw();
+    const auto wraw = ws.raw();
+    ASSERT_EQ(graw.size(), wraw.size());
+    for (std::size_t j = 0; j < graw.size(); ++j) {
+      EXPECT_EQ(graw[j].at, wraw[j].at);
+      EXPECT_EQ(graw[j].value, wraw[j].value);
+    }
+    expect_same_rollups(gs.fine(), ws.fine());
+    expect_same_rollups(gs.coarse(), ws.coarse());
+  }
+}
+
+}  // namespace
+
+TEST(TimeSeriesStore, CellWalkMatchesSnapshotSamplingAsCellsArrive) {
+  eo::TimeSeriesConfig cfg;  // small rings so all three wrap in 50 ticks
+  cfg.raw_capacity = 8;
+  cfg.fine_capacity = 4;
+  cfg.coarse_capacity = 2;
+  cfg.fine_width = 3 * kSecond;
+  cfg.coarse_width = 10 * kSecond;
+  eo::MetricsRegistry reg;
+  eo::TimeSeriesStore walked(cfg);
+  eo::TimeSeriesStore reference(cfg);
+
+  auto& bytes = reg.counter("bytes_total", {{"site", "b"}});
+  auto& depth = reg.gauge("queue_depth");
+  eo::Counter* retries = nullptr;
+  eo::Histogram* wait = nullptr;
+  for (int t = 0; t < 50; ++t) {
+    const SimTime at = static_cast<SimTime>(t) * kSecond;
+    bytes.add(static_cast<std::uint64_t>(100 + 7 * t));
+    depth.set(t < 25 ? 0.5 * t : 0.5 * (50 - t));  // rises, then falls
+    if (t == 4) {  // registered after tick 3, labels out of order
+      retries = &reg.counter("retries_total", {{"site", "z"}, {"host", "a"}});
+    }
+    if (retries != nullptr) retries->add(static_cast<std::uint64_t>(t % 3));
+    if (t == 11) {  // registered after tick 10
+      wait = &reg.histogram("wait_seconds", {1.0, 2.0, 4.0, 8.0});
+    }
+    if (wait != nullptr) wait->observe(0.25 * (t % 17));
+    walked.sample_registry(reg, at);
+    snapshot_sample(reference, reg, at);
+  }
+  ASSERT_NE(walked.find("retries_total", {{"host", "a"}, {"site", "z"}}),
+            nullptr);
+  ASSERT_NE(walked.find("wait_seconds:p99"), nullptr);
+  EXPECT_EQ(walked.series_count(), 7u);  // 3 plain + 4 derived
+  expect_same_store(walked, reference);
+}
+
+TEST(TimeSeriesStore, SteadyTickAllocatesNothing) {
+  eo::TimeSeriesConfig cfg;  // small rings: full after a few dozen ticks
+  cfg.raw_capacity = 4;
+  cfg.fine_capacity = 2;
+  cfg.coarse_capacity = 2;
+  cfg.fine_width = 2 * kSecond;
+  cfg.coarse_width = 4 * kSecond;
+  eo::MetricsRegistry reg;
+  auto& bytes = reg.counter("bytes_total", {{"site", "a"}});
+  auto& depth = reg.gauge("queue_depth");
+  auto& wait = reg.histogram("wait_seconds", eo::duration_boundaries());
+  eo::TimeSeriesStore store(cfg);
+
+  SimTime at = 0;
+  auto tick = [&] {
+    bytes.add(10);
+    depth.set(static_cast<double>(at % (7 * kSecond)) / kSecond);
+    wait.observe(static_cast<double>(at % (90 * kSecond)) / kSecond);
+    store.sample_registry(reg, at);
+    at += kSecond;
+  };
+  // Fill every ring: coarse needs coarse_capacity + 1 buckets of 4 s.
+  for (int i = 0; i < 20; ++i) tick();
+  const std::uint64_t before = g_allocs;
+  for (int i = 0; i < 100; ++i) tick();
+  EXPECT_EQ(g_allocs - before, 0u);
+  EXPECT_EQ(store.samples_total(), 120u * 6u);  // counter + gauge + 4 derived
 }
 
 TEST(TimeSeriesStore, FamilyQueriesSelectByLabelSubset) {
