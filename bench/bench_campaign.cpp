@@ -11,9 +11,9 @@
 //   * zero permanent failures despite the chaos;
 //   * two same-seed runs serialize byte-identical campaign manifests
 //     (and byte-identical run manifests);
-//   * a campaign killed mid-run and resumed from its checkpoint manifest
-//     in a FRESH simulation transfers nothing twice and converges to the
-//     same integrity fingerprint as the uninterrupted run.
+//   * a campaign killed mid-run and resumed from its manifest (to_json,
+//     then from_json) in a FRESH simulation transfers nothing twice and
+//     converges to the same integrity fingerprint as the uninterrupted run.
 //
 // Writes BENCH_campaign.json, MANIFEST_campaign.json (run manifest, gated
 // against bench/baselines/) and CAMPAIGN_manifest.json (campaign manifest).

@@ -16,6 +16,7 @@
 #include "bench_util.hpp"
 #include "obs/flame.hpp"
 #include "obs/manifest.hpp"
+#include "obs/postmortem.hpp"
 #include "obs/profile.hpp"
 #include "obs/slo.hpp"
 #include "rm/request_manager.hpp"
@@ -44,7 +45,7 @@ struct ChaosOutcome {
   int failed = 0;
   int burn_alerts = 0;     // burn-rate firings during the run
   int anomaly_alerts = 0;  // anomaly firings during the run
-  int correlated_alerts = 0;  // firings correlate_alert ties to a fault
+  int correlated_alerts = 0;  // firings attribute_fault ties to a fault
   std::string alert_story;    // "rule <- fault" lines for the table
   Bytes total_bytes = 0;
   SimTime finished_at = 0;
@@ -233,7 +234,7 @@ ChaosOutcome run_world(std::uint64_t seed, bool verbose) {
     if (a.fired_at > out.finished_at) continue;
     (a.kind == obs::AlertKind::burn_rate ? out.burn_alerts
                                          : out.anomaly_alerts)++;
-    const auto* fault = obs::correlate_alert(out.manifest.events, a);
+    const auto* fault = obs::attribute_fault(out.manifest.events, a.fired_at);
     if (fault != nullptr) {
       ++out.correlated_alerts;
       out.alert_story += "  " + a.rule + " @" +

@@ -309,7 +309,7 @@ int cmd_alerts(const std::string& path) {
   std::fputs(esg::obs::render_alerts(m.alerts).c_str(), stdout);
   std::printf("\nroot-cause correlation:\n");
   for (const auto& a : m.alerts) {
-    const auto* fault = esg::obs::correlate_alert(m.events, a);
+    const auto* fault = esg::obs::attribute_fault(m.events, a.fired_at);
     if (fault != nullptr) {
       std::printf("  %-24s <- %s %s (%s, at %s)\n", a.rule.c_str(),
                   fault->name.c_str(), fault->target.c_str(),

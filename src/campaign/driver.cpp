@@ -109,9 +109,6 @@ void CampaignDriver::abort() {
   auto active = std::move(active_);
   active_.clear();
   for (auto& [idx, get] : active) get->abort();
-  if (!options_.checkpoint_path.empty()) {
-    manifest_.save(options_.checkpoint_path);
-  }
 }
 
 void CampaignDriver::pump(SiteQueue& sq) {
@@ -211,8 +208,6 @@ void CampaignDriver::task_finished(SiteQueue& sq, std::uint32_t file_index,
     sim_.metrics()
         .counter("campaign_bytes_moved_total", {{"site", sq.endpoint.site}})
         .add(result.total_bytes);
-    ++completions_since_checkpoint_;
-    maybe_checkpoint();
   } else {
     manifest_.record_failure({f.dataset, f.name, sq.endpoint.site,
                               result.status.error().to_string(),
@@ -234,25 +229,9 @@ void CampaignDriver::task_finished(SiteQueue& sq, std::uint32_t file_index,
   pump(sq);
 }
 
-void CampaignDriver::maybe_checkpoint() {
-  if (options_.checkpoint_path.empty() || options_.checkpoint_every == 0 ||
-      completions_since_checkpoint_ < options_.checkpoint_every) {
-    return;
-  }
-  completions_since_checkpoint_ = 0;
-  manifest_.save(options_.checkpoint_path);
-  sim_.metrics().counter("campaign_checkpoints_total").add();
-  sim_.flight_recorder().record(
-      "campaign", "checkpoint", catalog_.name,
-      {{"completed", std::to_string(manifest_.completed_count())}});
-}
-
 void CampaignDriver::finish() {
   if (finished_ || aborted_) return;
   finished_ = true;
-  if (!options_.checkpoint_path.empty()) {
-    manifest_.save(options_.checkpoint_path);
-  }
   const IntegrityReport r = report();
   sim_.flight_recorder().record(
       "campaign", "campaign.end", catalog_.name,

@@ -7,16 +7,15 @@
 // circuit-breaker registry (rm::ReplicaHealthRegistry) exactly as the
 // request manager wires it.  Completions are verified against the landed
 // local copy's checksum, folded into the dataset-level checksum pipeline,
-// and recorded in the CampaignManifest — the durable resume point.  The
-// driver checkpoints the manifest periodically (and on abort), so a crashed
-// or killed campaign restarts from its manifest, skips everything already
-// landed, and converges to the same integrity report as an uninterrupted
-// run.
+// and recorded in the CampaignManifest — the resume point.  A killed
+// campaign's manifest (manifest().to_json(), reloaded with from_json) seeds
+// a fresh driver, which skips everything already landed and converges to
+// the same integrity report as an uninterrupted run.
 //
 // Observability: campaign_* metrics (queue depth, active transfers, files /
 // bytes / retries / failures) and flight-recorder events (campaign.begin,
-// task.failed, checkpoint, campaign.end) make fleet-scale runs explorable
-// with the same esg-report tooling as single transfers.
+// task.failed, campaign.aborted, campaign.end) make fleet-scale runs
+// explorable with the same esg-report tooling as single transfers.
 #pragma once
 
 #include <cstdint>
@@ -53,10 +52,6 @@ struct CampaignOptions {
   /// Replica-switch threshold (0 = disabled), per ReliabilityOptions.
   common::Rate min_rate = 0.0;
   rm::BreakerConfig breaker;
-  /// Checkpoint the manifest to this path every `checkpoint_every`
-  /// completions ("" / 0 = no checkpointing).
-  std::string checkpoint_path;
-  std::size_t checkpoint_every = 0;
   /// Open a `campaign.file` trace span per task (queued at run(), ended at
   /// completion) and route each transfer's gridftp/net spans onto a
   /// per-task track, so build_profile() can decompose campaigns exactly
@@ -67,8 +62,8 @@ struct CampaignOptions {
 
 class CampaignDriver {
  public:
-  /// `manifest` is empty for a fresh campaign or loaded from disk to
-  /// resume; its completed set is excluded from the plan.
+  /// `manifest` is empty for a fresh campaign or a killed campaign's, to
+  /// resume it; its completed set is excluded from the plan.
   CampaignDriver(sim::Simulation& sim, CampaignCatalog catalog,
                  std::vector<SiteEndpoint> endpoints, CampaignOptions options,
                  CampaignManifest manifest = {});
@@ -80,10 +75,10 @@ class CampaignDriver {
   /// permanently failed (immediately if the plan is empty).
   void run(std::function<void(const IntegrityReport&)> done);
 
-  /// Kill the campaign mid-run: abort in-flight transfers, freeze the
-  /// queues, checkpoint the manifest if a checkpoint path is set.  The
-  /// completion callback does NOT fire — this simulates a crashed driver,
-  /// which is resumed by constructing a new one from the saved manifest.
+  /// Kill the campaign mid-run: abort in-flight transfers and freeze the
+  /// queues.  The completion callback does NOT fire — this simulates a
+  /// crashed driver, which is resumed by constructing a new one from
+  /// manifest().
   void abort();
 
   bool finished() const { return finished_; }
@@ -107,7 +102,6 @@ class CampaignDriver {
   void start_task(SiteQueue& sq, std::uint32_t file_index);
   void task_finished(SiteQueue& sq, std::uint32_t file_index,
                      gridftp::ReliableResult result);
-  void maybe_checkpoint();
   void finish();
 
   sim::Simulation& sim_;
@@ -125,7 +119,6 @@ class CampaignDriver {
   std::map<std::uint32_t, TaskTrace> traces_;  // only when trace_tasks
   std::function<void(const IntegrityReport&)> done_;
   std::size_t outstanding_ = 0;  // tasks not yet completed/failed
-  std::size_t completions_since_checkpoint_ = 0;
   bool started_ = false;
   bool aborted_ = false;
   bool finished_ = false;

@@ -8,7 +8,6 @@
 #include "common/bytebuf.hpp"
 #include "obs/export.hpp"
 #include "obs/json.hpp"
-#include "obs/manifest.hpp"
 
 namespace esg::campaign {
 
@@ -178,16 +177,6 @@ Result<CampaignManifest> CampaignManifest::from_json(std::string_view text) {
     }
   }
   return m;
-}
-
-bool CampaignManifest::save(const std::string& path) const {
-  return obs::write_file(path, to_json());
-}
-
-Result<CampaignManifest> CampaignManifest::load(const std::string& path) {
-  auto text = obs::read_file(path);
-  if (!text.ok()) return text.error();
-  return from_json(text.value());
 }
 
 }  // namespace esg::campaign

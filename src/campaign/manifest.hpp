@@ -85,9 +85,6 @@ class CampaignManifest {
   std::string to_json() const;
   static common::Result<CampaignManifest> from_json(std::string_view text);
 
-  bool save(const std::string& path) const;
-  static common::Result<CampaignManifest> load(const std::string& path);
-
  private:
   // (site '\n' file) → index into completed.
   std::map<std::string, std::size_t> index_;

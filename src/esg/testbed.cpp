@@ -34,9 +34,10 @@ void EsgTestbed::build_topology() {
   net_.add_link({.name = "llnl-uplink", .site_a = "llnl",
                  .site_b = "berkeley", .capacity = common::mbps(622),
                  .latency = 2 * kMillisecond});
+  // Loss on the Abilene path drives the parallel-stream benefit there.
   net_.add_link({.name = "abilene", .site_a = "dcc", .site_b = "anl",
                  .capacity = common::mbps(622), .latency = 25 * kMillisecond,
-                 .loss = config_.abilene_loss});
+                 .loss = 5e-5});
   net_.add_link({.name = "anl-ncar", .site_a = "anl", .site_b = "ncar",
                  .capacity = common::mbps(622), .latency = 15 * kMillisecond});
 

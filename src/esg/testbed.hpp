@@ -45,8 +45,6 @@ struct TestbedConfig {
   climate::GridSpec grid{36, 72};
   common::SimDuration sensor_period = 60 * common::kSecond;
   hrm::HrmConfig hrm;
-  /// Loss on the Abilene path (drives the parallel-stream benefit there).
-  double abilene_loss = 5e-5;
 };
 
 /// How a dataset's chunk files are placed across the replica hosts.

@@ -15,6 +15,16 @@ using common::Result;
 using common::Status;
 using rpc::Payload;
 
+namespace {
+
+// Bytes/second the client hashes while verifying a GET.  The pass walks the
+// whole landed payload, so it costs size / kChecksumRate of sim time under
+// a `gridftp.checksum` span (the profiler's checksum category).  1 GB/s is
+// about a single-core software hash over a fast local disk.
+constexpr Rate kChecksumRate = 1e9;
+
+}  // namespace
+
 // Per-operation state machine.  Kept alive by the shared_ptr captured in
 // every pending callback; abort() quiesces it.
 struct GridFtpClient::Op : TransferHandle,
@@ -106,19 +116,21 @@ struct GridFtpClient::Op : TransferHandle,
 
   void succeed() {
     if (finished) return;
-    // End-to-end integrity: compare the landed payload against the checksum
-    // the server announced at RETR time.  Covers the whole data path —
-    // injection anywhere between RETR and landing fails the transfer.
-    if (kind == Kind::get && options.verify_checksum && have_checksum) {
+    // End-to-end integrity: compare the landed payload against the fnv1a64
+    // checksum the server announced at RETR time.  Covers the whole data
+    // path — injection anywhere between RETR and landing fails the transfer
+    // with io_error, so the reliability layer re-fetches from another
+    // replica.
+    if (kind == Kind::get && have_checksum) {
       // The verification pass walks the landed payload, which is real work:
-      // model it as size / checksum_rate of sim time under its own child
+      // model it as size / kChecksumRate of sim time under its own child
       // span, then re-enter to do the compare.  An abort or failure during
       // the window wins (finished flips and the re-entry returns above).
-      if (!verify_started && options.checksum_rate > 0) {
+      if (!verify_started) {
         verify_started = true;
         const common::SimDuration cost = static_cast<common::SimDuration>(
             static_cast<double>(std::max<Bytes>(effective_size, 0)) /
-            options.checksum_rate * static_cast<double>(common::kSecond));
+            kChecksumRate * static_cast<double>(common::kSecond));
         if (cost > 0) {
           verify_span = sim().tracer().begin("gridftp.checksum", "gridftp",
                                              options.obs_track, span.id());

@@ -53,7 +53,7 @@ Status StripedVolume::store(const storage::FileObject& file) {
     if (idx == full_blocks % n && tail > 0) bytes_here += tail;
     layout.extents.push_back(StripeLayout::NodeExtent{
         nodes_[k]->host().name(),
-        config_.stripe_dir + "/" + file.name + ".stripe" + std::to_string(k),
+        ".stripes/" + file.name + ".stripe" + std::to_string(k),  // node-local
         bytes_here});
   }
 

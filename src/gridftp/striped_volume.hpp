@@ -27,7 +27,6 @@ namespace esg::gridftp {
 
 struct StripedVolumeConfig {
   Bytes block_size = 4 * common::kMB;
-  std::string stripe_dir = ".stripes";  // node-local path prefix
 };
 
 /// Layout of one file across the volume's nodes.

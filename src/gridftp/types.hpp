@@ -36,17 +36,6 @@ struct TransferOptions {
   bool large_file_support = true;         // 64-bit sizes (post-SC'2000)
   std::string eret_module;                // "" = plain RETR
   std::string eret_params;
-  /// Verify the landed payload against the server's announced fnv1a64
-  /// checksum (GET only).  A mismatch fails the transfer with io_error so
-  /// the reliability layer can re-fetch from another replica.
-  bool verify_checksum = true;
-  /// Bytes/second the client hashes during verification — the pass walks
-  /// the whole landed payload, so it costs size / checksum_rate of sim
-  /// time under a `gridftp.checksum` span (the profiler's checksum
-  /// category).  1 GB/s ≈ a single-core software hash over a fast local
-  /// disk.  <= 0 makes verification instantaneous (pre-profiler
-  /// behaviour).
-  Rate checksum_rate = 1e9;
   /// Trace track the operation's spans land on (see obs/trace.hpp); the
   /// request manager sets this to the per-file worker track so GridFTP and
   /// network spans nest under the worker's in the exported Chrome trace.
@@ -59,8 +48,8 @@ struct TransferResult {
   Bytes file_size = 0;          // effective size after any ERET processing
   SimTime started = 0;
   SimTime finished = 0;
-  /// True when the landed file's checksum matched the server's (GET with
-  /// verify_checksum against a checksum-announcing server).
+  /// True when the landed file's checksum matched the server's (a GET
+  /// from a checksum-announcing server; every GET verifies).
   bool checksum_verified = false;
 
   Rate average_rate() const {

@@ -5,6 +5,15 @@
 
 namespace esg::nws {
 
+namespace {
+
+// A bandwidth probe is one TCP stream (the TcpOptions default) with a 1 MiB
+// buffer; pings carry 5% measurement noise.
+constexpr common::Bytes kProbeBuffer = common::kMiB;
+constexpr double kLatencyJitterFrac = 0.05;
+
+}  // namespace
+
 HostSensor::HostSensor(net::Network& network, const net::Host& host,
                        SimDuration period, HostPublishFn publish,
                        std::uint64_t seed, double noise)
@@ -65,8 +74,7 @@ void NwsSensor::stop() {
 void NwsSensor::measure(std::function<void()> done) {
   // Latency ping: the real path RTT plus measurement jitter.
   const SimDuration true_rtt = net_.rtt(src_, dst_);
-  const double jitter =
-      1.0 + config_.latency_jitter_frac * std::abs(rng_.normal());
+  const double jitter = 1.0 + kLatencyJitterFrac * std::abs(rng_.normal());
   const auto measured_rtt =
       static_cast<SimDuration>(static_cast<double>(true_rtt) * jitter);
 
@@ -74,8 +82,7 @@ void NwsSensor::measure(std::function<void()> done) {
   if (probe_) probe_->cancel();
   const SimTime start = net_.simulation().now();
   net::TcpOptions opts;
-  opts.streams = config_.probe_streams;
-  opts.buffer_size = config_.probe_buffer;
+  opts.buffer_size = kProbeBuffer;
   opts.include_disks = false;
   // A hung probe is a failed probe.
   opts.dead_interval =

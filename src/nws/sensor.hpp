@@ -28,9 +28,6 @@ struct SensorConfig {
   /// or test drives measure() manually).
   SimDuration period = 60 * common::kSecond;
   common::Bytes probe_size = common::kMB;  // 1 MB bandwidth probe
-  common::Bytes probe_buffer = common::kMiB;
-  int probe_streams = 1;
-  double latency_jitter_frac = 0.05;  // measurement noise on pings
   std::uint64_t seed = 1234;
 };
 

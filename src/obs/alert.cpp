@@ -223,60 +223,4 @@ std::string render_alerts(const std::vector<AlertRecord>& alerts) {
   return out;
 }
 
-const FlightEvent* correlate_alert(const std::vector<FlightEvent>& events,
-                                   const AlertRecord& alert) {
-  constexpr common::SimDuration kRecentWindow = 120 * common::kSecond;
-  auto is_begin = [](const FlightEvent& e) {
-    return e.category == "chaos" && e.name.rfind("fault.", 0) == 0 &&
-           e.name.size() > 6 &&
-           e.name.compare(e.name.size() - 6, 6, ".begin") == 0;
-  };
-  auto is_instant = [](const FlightEvent& e) {
-    return e.category == "chaos" && e.name == "fault.corruption";
-  };
-  auto fault_end = [&events](const FlightEvent& begin) -> common::SimTime {
-    const std::string end_name =
-        begin.name.substr(0, begin.name.size() - 6) + ".end";
-    for (const auto& e : events) {
-      if (e.at < begin.at || e.seq <= begin.seq) continue;
-      if (e.name == end_name && e.target == begin.target) return e.at;
-    }
-    return -1;
-  };
-  // A corruption injection stays armed until a payload consumes it (the
-  // k-th checksum.mismatch consumes the k-th injection — the same FIFO the
-  // postmortem attribution relies on), so the fault is "over" at
-  // consumption time, not injection time: a failure burn fired minutes
-  // after the injection still names the corruption that caused it.
-  std::vector<common::SimTime> consumed;
-  for (const auto& e : events) {
-    if (e.name == "checksum.mismatch") consumed.push_back(e.at);
-  }
-  std::size_t armed = 0;
-  const FlightEvent* active = nullptr;
-  const FlightEvent* recent = nullptr;
-  for (const auto& e : events) {
-    if (e.at > alert.fired_at) break;
-    const bool durable = is_begin(e);
-    if (!durable && !is_instant(e)) continue;
-    common::SimTime over = e.at;
-    if (durable) {
-      const common::SimTime end = fault_end(e);
-      if (end < 0 || end >= alert.fired_at) {
-        active = &e;
-        continue;
-      }
-      over = end;
-    } else {
-      const std::size_t k = armed++;
-      if (k < consumed.size() && consumed[k] >= e.at &&
-          consumed[k] <= alert.fired_at) {
-        over = consumed[k];
-      }
-    }
-    if (alert.fired_at - over <= kRecentWindow) recent = &e;
-  }
-  return active != nullptr ? active : recent;
-}
-
 }  // namespace esg::obs

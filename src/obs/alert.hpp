@@ -23,9 +23,9 @@
 //
 // Firings and resolutions are recorded as `alert.fired` / `alert.resolved`
 // flight-recorder events (category "alert"), which lands them in run
-// manifests, postmortem timelines and the bench gate; correlate_alert()
-// names the injected chaos fault a firing overlapped, the same attribution
-// the per-file postmortems perform.
+// manifests, postmortem timelines and the bench gate.  The injected chaos
+// fault behind a firing is obs::attribute_fault(events, fired_at)
+// (obs/postmortem.hpp), the same rule the per-file postmortems use.
 #pragma once
 
 #include <cstdint>
@@ -141,12 +141,5 @@ class AlertEngine {
 
 /// Render an alert table from records (esg-report alerts, live pane).
 std::string render_alerts(const std::vector<AlertRecord>& alerts);
-
-/// The chaos fault best explaining a firing: the latest fault still active
-/// at fired_at, else the latest one that ended within the recency window
-/// before it (matching the per-file postmortem attribution).  Returns
-/// nullptr when no injected fault plausibly explains the alert.
-const FlightEvent* correlate_alert(const std::vector<FlightEvent>& events,
-                                   const AlertRecord& alert);
 
 }  // namespace esg::obs

@@ -4,6 +4,8 @@
 #include <cstdio>
 #include <cstdlib>
 
+#include "common/strings.hpp"
+
 namespace esg::obs {
 
 namespace {
@@ -30,31 +32,75 @@ bool is_anomaly(const FlightEvent& e) {
          e.name == "file.failed";
 }
 
-bool is_fault_begin(const FlightEvent& e) {
-  return e.category == "chaos" && e.name.size() > 6 &&
-         e.name.compare(e.name.size() - 6, 6, ".begin") == 0;
-}
+}  // namespace
 
-bool is_fault_instant(const FlightEvent& e) {
-  return e.category == "chaos" && e.name == "fault.corruption";
-}
+const FlightEvent* attribute_fault(const std::vector<FlightEvent>& events,
+                                   common::SimTime at,
+                                   const FlightEvent& symptom) {
+  // Anything that stopped acting longer ago than this is noise, not cause:
+  // better to report no root cause than a confident wrong one.
+  constexpr common::SimDuration kRecentWindow = 120 * common::kSecond;
 
-/// End time of a durable fault (matching ".end" with the same stem and
-/// target), or -1 when it never lifted inside the recorded window.
-common::SimTime fault_end(const std::vector<FlightEvent>& events,
-                          const FlightEvent& begin) {
-  const std::string stem = begin.name.substr(0, begin.name.size() - 6);
+  // Corruption injections are consumed first in, first out: the k-th
+  // checksum.mismatch consumes the k-th fault.corruption.
+  std::vector<const FlightEvent*> injections;
+  std::vector<const FlightEvent*> mismatches;
   for (const auto& e : events) {
-    if (e.seq <= begin.seq) continue;
-    if (e.category == "chaos" && e.target == begin.target &&
-        e.name == stem + ".end") {
-      return e.at;
+    if (e.category == "chaos" && e.name == "fault.corruption") {
+      injections.push_back(&e);
+    } else if (e.name == "checksum.mismatch") {
+      mismatches.push_back(&e);
     }
   }
-  return -1;
-}
+  if (symptom.name == "checksum.mismatch" ||
+      symptom.name == "corruption.refetch") {
+    // The symptom's mismatch: itself, or the one its refetch follows.
+    std::size_t k = mismatches.size();  // none in the stream
+    for (std::size_t i = 0;
+         i < mismatches.size() && mismatches[i]->seq <= symptom.seq; ++i) {
+      if (mismatches[i]->target == symptom.target) k = i;
+    }
+    if (k < mismatches.size() && k < injections.size() &&
+        injections[k]->at <= mismatches[k]->at) {
+      return injections[k];
+    }
+  }
 
-}  // namespace
+  // The latest fault still active wins; failing that, the latest one that
+  // stopped acting within the window (aftermath: retries draining,
+  // breakers still open).
+  const FlightEvent* active = nullptr;
+  const FlightEvent* recent = nullptr;
+  std::size_t armed = 0;
+  for (auto it = events.begin(); it != events.end() && it->at <= at; ++it) {
+    const FlightEvent& e = *it;
+    if (e.category != "chaos") continue;
+    common::SimTime over = e.at;  // when the fault stopped acting
+    if (e.name == "fault.corruption") {
+      const std::size_t k = armed++;
+      if (k < mismatches.size() && mismatches[k]->at >= e.at &&
+          mismatches[k]->at <= at) {
+        over = mismatches[k]->at;
+      }
+    } else if (common::ends_with(e.name, ".begin")) {
+      const std::string end = e.name.substr(0, e.name.size() - 6) + ".end";
+      const auto lifted =
+          std::find_if(std::next(it), events.end(), [&](const FlightEvent& x) {
+            return x.category == "chaos" && x.target == e.target &&
+                   x.name == end;
+          });
+      if (lifted == events.end() || lifted->at >= at) {
+        active = &e;
+        continue;
+      }
+      over = lifted->at;
+    } else {
+      continue;
+    }
+    if (at - over <= kRecentWindow) recent = &e;
+  }
+  return active != nullptr ? active : recent;
+}
 
 Postmortem build_postmortem(const std::vector<FlightEvent>& events,
                             const std::string& file) {
@@ -78,13 +124,16 @@ Postmortem build_postmortem(const std::vector<FlightEvent>& events,
   if (queued == nullptr) return pm;
   pm.found = true;
   pm.started = queued->at;
-  pm.finished = terminal != nullptr ? terminal->at : pm.started;
   if (terminal != nullptr) {
+    pm.finished = terminal->at;
     pm.failed = terminal->name == "file.failed";
     pm.status = pm.failed ? std::string(terminal->attr("status")) : "ok";
     pm.attempts = std::atoi(std::string(terminal->attr("attempts")).c_str());
     pm.replica_switches =
         std::atoi(std::string(terminal->attr("switches")).c_str());
+  } else {
+    pm.finished = events.back().at;
+    pm.status = "in flight";
   }
 
   // ---- the file's own events: same track (when known) or same target ----
@@ -120,56 +169,16 @@ Postmortem build_postmortem(const std::vector<FlightEvent>& events,
   }
 
   // ---- first anomaly + root cause ----
-  const FlightEvent* anomaly = nullptr;
   for (const FlightEvent* e : own) {
-    if (is_anomaly(*e)) {
-      anomaly = e;
-      break;
-    }
-  }
-  if (anomaly != nullptr) {
+    if (!is_anomaly(*e)) continue;
     pm.degraded = true;
-    pm.first_anomaly = *anomaly;
-    // Prefer the latest fault still active when the symptom struck; fall
-    // back to the latest fault that lifted shortly before it (aftermath —
-    // retries draining, breakers still open).  Anything older than the
-    // recency window is noise, not cause: better to report no root cause
-    // than a confident wrong one.
-    constexpr common::SimDuration kRecentWindow = 120 * common::kSecond;
-    const FlightEvent* active_cause = nullptr;
-    const FlightEvent* recent_cause = nullptr;
-    for (const auto& e : events) {
-      if (e.at > anomaly->at) break;
-      const bool durable = is_fault_begin(e);
-      if (!durable && !is_fault_instant(e)) continue;
-      common::SimTime over = e.at;  // when the fault stopped acting
-      if (durable) {
-        const common::SimTime end = fault_end(events, e);
-        if (end < 0 || end >= anomaly->at) {
-          active_cause = &e;
-          continue;
-        }
-        over = end;
-      }
-      if (anomaly->at - over <= kRecentWindow) recent_cause = &e;
-    }
-    // A corruption injection stays armed until a payload consumes it, so a
-    // checksum symptom matches the latest corruption event at any lag.
-    if (anomaly->name == "checksum.mismatch" ||
-        anomaly->name == "corruption.refetch") {
-      for (const auto& e : events) {
-        if (e.at > anomaly->at) break;
-        if (is_fault_instant(e)) recent_cause = &e;
-      }
-      if (recent_cause != nullptr) active_cause = nullptr;
-    }
-    const FlightEvent* cause =
-        active_cause != nullptr ? active_cause : recent_cause;
-    if (cause != nullptr) {
+    pm.first_anomaly = *e;
+    if (const FlightEvent* cause = attribute_fault(events, e->at, *e)) {
       pm.has_root_cause = true;
       pm.root_cause = *cause;
-      pm.anomaly_lag = anomaly->at - cause->at;
+      pm.anomaly_lag = e->at - cause->at;
     }
+    break;
   }
   if (pm.attempts > 1 || pm.replica_switches > 0) pm.degraded = true;
 
@@ -228,7 +237,7 @@ std::string Postmortem::render() const {
   std::string out = "POSTMORTEM " + file;
   if (!found) return out + " — no flight-recorder events for this file\n";
   out += failed ? " — FAILED (" + status + ")"
-                : (degraded ? " — ok, degraded" : " — ok, clean");
+                : " — " + status + (degraded ? ", degraded" : ", clean");
   out += "  [" + fmt_seconds(started) + " .. " + fmt_seconds(finished) +
          ", total " + fmt_seconds(total()) + "]\n";
   if (!chosen_host.empty()) {

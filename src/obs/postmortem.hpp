@@ -13,8 +13,12 @@
 //     transitions and link-state changes that overlapped it;
 //   * root-cause attribution: the first anomaly the file suffered
 //     (timeout, slow-replica abandon, checksum mismatch, stage retry, ...)
-//     is matched to the chaos fault that was active when it struck —
+//     is matched by attribute_fault() to the chaos fault that explains it —
 //     "stream stalled 12 s after brownout(lbnl-uplink)".
+//
+// attribute_fault() is the one rule that ties a symptom to a fault: the
+// alert report, bench_chaos and the explorer's alerts-correlated invariant
+// call it with an alert's firing time.
 //
 // The engine only reads events; it works identically on a live simulation
 // and on a manifest loaded months later by `esg-report postmortem`.
@@ -41,8 +45,12 @@ struct Postmortem {
   bool found = false;   // file.queued event located
   bool failed = false;
   bool degraded = false;  // retried, switched replica, or suffered anomalies
-  std::string status;     // "ok" or the failure text
+  /// "ok", the failure text, or "in flight" when the stream holds no
+  /// file.complete/file.failed for the file.
+  std::string status;
   common::SimTime started = 0;
+  /// The terminal event's time; for a file in flight, the last recorded
+  /// event's (open spans clamp at capture the same way).
   common::SimTime finished = 0;
   int attempts = 0;
   int replica_switches = 0;
@@ -65,6 +73,22 @@ struct Postmortem {
   /// Multi-line human report.
   std::string render() const;
 };
+
+/// The chaos fault that best explains a symptom seen at `at`, or nullptr.
+/// `symptom` is the symptom's own event when there is one (a postmortem's
+/// first anomaly); an alert passes only its firing time.
+///   * A checksum symptom (checksum.mismatch, or the corruption.refetch that
+///     follows it) is explained by the fault.corruption its mismatch
+///     consumed, at any lag: the k-th mismatch consumes the k-th injection.
+///   * Otherwise the latest fault still active at `at` wins — a `.begin`
+///     until its `.end`, or for good if none is recorded — else the latest
+///     one that stopped acting within a 120 s recency window.  A corruption
+///     injection is never active (an armed injection has hurt no payload
+///     yet): it stops acting at the mismatch that consumes it, or at the
+///     injection itself while nothing has consumed it by `at`.
+const FlightEvent* attribute_fault(const std::vector<FlightEvent>& events,
+                                   common::SimTime at,
+                                   const FlightEvent& symptom = {});
 
 /// Build the postmortem for `file` from an event stream (manifest order).
 Postmortem build_postmortem(const std::vector<FlightEvent>& events,

@@ -13,6 +13,9 @@ namespace {
 using common::SimDuration;
 using common::SimTime;
 
+// Slowest files kept per category as tail exemplars.
+constexpr std::size_t kExemplarsPerCategory = 3;
+
 const char* kCategoryNames[kProfileCategories] = {
     "queue-wait", "breaker-wait", "backoff", "stage",
     "network",    "checksum",     "overhead",
@@ -406,7 +409,7 @@ TimeWhereProfile build_profile(const std::vector<SpanRecord>& raw_spans,
     profile.files.push_back(std::move(fp));
   }
 
-  // Tail exemplars: the k slowest files per category.
+  // Tail exemplars: the kExemplarsPerCategory slowest files per category.
   for (int c = 0; c < kProfileCategories; ++c) {
     std::vector<const FileProfile*> ranked;
     for (const auto& fp : profile.files) {
@@ -417,11 +420,7 @@ TimeWhereProfile build_profile(const std::vector<SpanRecord>& raw_spans,
                 if (a->self[c] != b->self[c]) return a->self[c] > b->self[c];
                 return a->file < b->file;
               });
-    const std::size_t k =
-        std::min<std::size_t>(ranked.size(),
-                              options.exemplars_per_category < 0
-                                  ? 0
-                                  : options.exemplars_per_category);
+    const std::size_t k = std::min(ranked.size(), kExemplarsPerCategory);
     for (std::size_t i = 0; i < k; ++i) {
       TailExemplar ex;
       ex.category = static_cast<ProfileCategory>(c);

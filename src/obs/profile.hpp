@@ -27,7 +27,7 @@
 // The same sweep yields each request's **critical path** — since a worker
 // is a single logical thread, the chain of deepest spans *is* the path that
 // bounded completion — and collapsed call stacks for flamegraph rendering
-// (see flame.hpp).  Tail exemplars link the k slowest files per category
+// (see flame.hpp).  Tail exemplars link the 3 slowest files per category
 // back to their trace span ids, so a fat tail in the
 // `rm_file_duration_seconds` / `campaign_file_seconds` histograms can be
 // chased to concrete spans in the Chrome trace.
@@ -123,8 +123,6 @@ struct TailExemplar {
 struct ProfileOptions {
   /// Name of the root spans to profile ("rm.file" or "campaign.file").
   std::string root_span = "rm.file";
-  /// Slowest files kept per category as tail exemplars.
-  int exemplars_per_category = 3;
 };
 
 /// Aggregated time-where profile over every root span in a run.

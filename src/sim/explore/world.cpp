@@ -3,6 +3,7 @@
 #include <utility>
 
 #include "campaign/driver.hpp"
+#include "obs/postmortem.hpp"
 #include "rm/request_manager.hpp"
 #include "scenario/star.hpp"
 
@@ -187,7 +188,7 @@ ScheduleRun run_schedule(const FaultSchedule& schedule,
   for (const auto& a : out.manifest.alerts) {
     if (a.fired_at > out.finished_at) continue;
     ++out.alerts_fired;
-    if (obs::correlate_alert(out.manifest.events, a) == nullptr) {
+    if (obs::attribute_fault(out.manifest.events, a.fired_at) == nullptr) {
       out.uncorrelated_alerts.push_back(
           a.rule + " @" + common::format_time(a.fired_at));
     }

@@ -63,7 +63,7 @@ struct ScheduleRun {
   std::vector<std::string> unhealthy_hosts;
 
   int alerts_fired = 0;  // firings at or before finished_at
-  /// "rule @ time" for every firing correlate_alert could not tie to an
+  /// "rule @ time" for every firing obs::attribute_fault could not tie to an
   /// injected fault (must be empty: no alert without a cause).
   std::vector<std::string> uncorrelated_alerts;
 

@@ -1,8 +1,11 @@
 // Flight recorder, causal postmortems, run manifests, and the SLO /
 // regression watchdog (DESIGN.md §9): the ring is bounded and digested,
 // same-seed chaos runs serialize to byte-identical manifests, an injected
-// brownout is traced back to the faulted link, per-phase attribution tiles
-// the rm.file span exactly, and SLO / drift verdicts behave as golden.
+// brownout is traced back to the faulted link, corruption injections are
+// matched to the mismatches that consumed them in order, per-phase
+// attribution tiles the rm.file span exactly (and a file with no terminal
+// event ends at the last recorded one), and SLO / drift verdicts behave as
+// golden.
 #include <gtest/gtest.h>
 
 #include <memory>
@@ -239,6 +242,87 @@ TEST(Postmortem, ManifestRoundTripsAndWorksOffline) {
   const auto degraded = eo::degraded_files(parsed->events);
   ASSERT_EQ(degraded.size(), 1u);
   EXPECT_EQ(degraded[0], "big.ncx");
+}
+
+// Two corruption injections armed before either payload lands: the k-th
+// checksum mismatch consumed the k-th injection, so each file's postmortem
+// names its own.
+TEST(Postmortem, ArmedCorruptionsAreConsumedInOrder) {
+  ec::SimTime now = 0;
+  eo::FlightRecorder rec([&now] { return now; });
+  rec.record("rm", "file.queued", "a.ncx", {}, 1);
+  rec.record("rm", "file.queued", "b.ncx", {}, 2);
+  now = 1 * kSecond;
+  rec.record("chaos", "fault.corruption", "client",
+             {{"description", "first flip"}});
+  now = 2 * kSecond;
+  rec.record("chaos", "fault.corruption", "client",
+             {{"description", "second flip"}});
+  now = 30 * kSecond;
+  rec.record("gridftp", "checksum.mismatch", "cache/a.ncx",
+             {{"host", "lbnl.host"}}, 1);
+  rec.record("gridftp", "corruption.refetch", "cache/a.ncx",
+             {{"host", "lbnl.host"}}, 1);
+  now = 40 * kSecond;
+  rec.record("gridftp", "checksum.mismatch", "cache/b.ncx",
+             {{"host", "isi.host"}}, 2);
+  rec.record("gridftp", "corruption.refetch", "cache/b.ncx",
+             {{"host", "isi.host"}}, 2);
+  now = 60 * kSecond;
+  rec.record("rm", "file.complete", "a.ncx", {{"attempts", "2"}}, 1);
+  rec.record("rm", "file.complete", "b.ncx", {{"attempts", "2"}}, 2);
+
+  const auto a = eo::build_postmortem(rec, "a.ncx");
+  ASSERT_TRUE(a.has_root_cause);
+  EXPECT_EQ(a.first_anomaly.name, "checksum.mismatch");
+  EXPECT_EQ(a.root_cause.attr("description"), "first flip");
+  EXPECT_EQ(a.anomaly_lag, 29 * kSecond);
+  const auto b = eo::build_postmortem(rec, "b.ncx");
+  ASSERT_TRUE(b.has_root_cause);
+  EXPECT_EQ(b.root_cause.attr("description"), "second flip");
+  EXPECT_EQ(b.anomaly_lag, 38 * kSecond);
+}
+
+// A stream with no file.complete/file.failed for a file (a capture taken
+// mid-run): the file ends at the last recorded event and reads as in
+// flight, with slices that stay non-negative and still tile its span.
+TEST(Postmortem, UnfinishedFileEndsAtTheLastRecordedEvent) {
+  const auto run = brownout_run(2 * kSecond);
+  ASSERT_TRUE(run.ok);
+  std::vector<eo::FlightEvent> events;
+  for (const auto& e : run.manifest.events) {
+    if (e.name != "file.complete") events.push_back(e);
+  }
+  ASSERT_EQ(events.size() + 1, run.manifest.events.size());
+
+  const auto pm = eo::build_postmortem(events, "big.ncx");
+  ASSERT_TRUE(pm.found);
+  EXPECT_FALSE(pm.failed);
+  EXPECT_EQ(pm.status, "in flight");
+  EXPECT_EQ(pm.finished, events.back().at);
+  EXPECT_GE(pm.finished, run.pm.finished);
+  ASSERT_FALSE(pm.phases.empty());
+  EXPECT_EQ(pm.phases.front().start, pm.started);
+  EXPECT_EQ(pm.phases.back().end, pm.finished);
+  ec::SimDuration sum = 0;
+  for (std::size_t i = 0; i < pm.phases.size(); ++i) {
+    EXPECT_GE(pm.phases[i].duration(), 0) << pm.phases[i].phase;
+    if (i > 0) {
+      EXPECT_EQ(pm.phases[i].start, pm.phases[i - 1].end);
+    }
+    sum += pm.phases[i].duration();
+  }
+  EXPECT_EQ(sum, pm.total());
+  // The environment events of the file's life stay on its timeline.
+  bool saw_lift = false;
+  for (const auto& e : pm.timeline) {
+    if (e.name == "fault.brownout.end") saw_lift = true;
+  }
+  EXPECT_TRUE(saw_lift);
+  EXPECT_EQ(pm.root_cause.name, "fault.brownout.begin");
+  const std::string text = pm.render();
+  EXPECT_NE(text.find("— in flight, degraded"), std::string::npos) << text;
+  EXPECT_EQ(text.find("— ok"), std::string::npos) << text;
 }
 
 // ---------- SLO rules ----------

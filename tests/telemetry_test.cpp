@@ -4,8 +4,8 @@
 // the sampling hook over the metrics registry (checked against a snapshot
 // reference as cells arrive mid-run, and allocation-free once the rings
 // are full), the online AlertEngine (burn-rate multi-window rules, EWMA +
-// CUSUM anomaly detection, flight events), root-cause correlation of
-// firings against injected faults, manifest serialization of alert/series
+// CUSUM anomaly detection, flight events), attribute_fault's rule for
+// tying a symptom or a firing to an injected fault, manifest serialization of alert/series
 // timelines (byte-deterministic round-trip, drift detection), flight-ring
 // eviction digests, and same-seed replay identity of the whole pipeline
 // scheduled on the simulated clock.
@@ -13,6 +13,7 @@
 
 #include <cstdint>
 #include <cstdlib>
+#include <initializer_list>
 #include <new>
 #include <string>
 #include <vector>
@@ -20,6 +21,7 @@
 #include "obs/alert.hpp"
 #include "obs/manifest.hpp"
 #include "obs/metrics.hpp"
+#include "obs/postmortem.hpp"
 #include "obs/recorder.hpp"
 #include "obs/slo.hpp"
 #include "obs/timeseries.hpp"
@@ -569,51 +571,116 @@ TEST(AlertEngine, AnomalyWatchesCounterRatesThroughRateWindow) {
 
 namespace {
 
-eo::FlightEvent chaos_event(std::uint64_t seq, SimTime at,
-                            const std::string& name,
-                            const std::string& target) {
-  eo::FlightEvent e;
-  e.seq = seq;
-  e.at = at;
-  e.category = "chaos";
-  e.name = name;
-  e.target = target;
-  return e;
-}
+// One (at, category, name, target) row of a flight-event stream.
+struct Row {
+  SimTime at;
+  const char* category;
+  const char* name;
+  const char* target;
+};
 
-eo::AlertRecord alert_at(SimTime at) {
-  eo::AlertRecord a;
-  a.rule = "r";
-  a.fired_at = at;
-  return a;
+// The stream a recorder would hold: seq numbers in row order.
+std::vector<eo::FlightEvent> stream(std::initializer_list<Row> rows) {
+  std::vector<eo::FlightEvent> out;
+  for (const Row& r : rows) {
+    eo::FlightEvent e;
+    e.seq = out.size();
+    e.at = r.at;
+    e.category = r.category;
+    e.name = r.name;
+    e.target = r.target;
+    out.push_back(std::move(e));
+  }
+  return out;
 }
 
 }  // namespace
 
-TEST(CorrelateAlert, PrefersActiveFaultThenRecentThenNothing) {
-  std::vector<eo::FlightEvent> events;
-  events.push_back(chaos_event(0, 10 * kSecond, "fault.brownout.begin",
-                               "lbnl-uplink"));
-  events.push_back(chaos_event(1, 50 * kSecond, "fault.brownout.end",
-                               "lbnl-uplink"));
-  events.push_back(chaos_event(2, 90 * kSecond, "fault.corruption",
-                               "client"));
+TEST(AttributeFault, PrefersActiveFaultThenRecentThenNothing) {
+  const auto faults = stream({
+      {10 * kSecond, "chaos", "fault.brownout.begin", "lbnl-uplink"},
+      {50 * kSecond, "chaos", "fault.brownout.end", "lbnl-uplink"},
+      {90 * kSecond, "chaos", "fault.corruption", "client"},
+  });
+  const auto consumed_late = stream({
+      {10 * kSecond, "chaos", "fault.corruption", "client"},
+      {250 * kSecond, "gridftp", "checksum.mismatch", "cache/a.ncx"},
+  });
+  const auto never_lifted = stream({
+      {10 * kSecond, "chaos", "fault.brownout.begin", "lbnl-uplink"},
+  });
+  const auto no_injection = stream({
+      {10 * kSecond, "chaos", "fault.brownout.begin", "lbnl-uplink"},
+      {30 * kSecond, "gridftp", "checksum.mismatch", "cache/a.ncx"},
+      {30 * kSecond, "gridftp", "corruption.refetch", "cache/a.ncx"},
+  });
+  const auto refetch_only = stream({
+      {1 * kSecond, "chaos", "fault.corruption", "client"},
+      {3 * kSecond, "chaos", "fault.brownout.begin", "lbnl-uplink"},
+      {30 * kSecond, "gridftp", "corruption.refetch", "cache/a.ncx"},
+  });
+  const auto two_armed = stream({
+      {1 * kSecond, "chaos", "fault.corruption", "client"},
+      {2 * kSecond, "chaos", "fault.corruption", "client"},
+      {3 * kSecond, "chaos", "fault.brownout.begin", "lbnl-uplink"},
+      {300 * kSecond, "gridftp", "checksum.mismatch", "cache/a.ncx"},
+      {300 * kSecond, "gridftp", "corruption.refetch", "cache/a.ncx"},
+      {310 * kSecond, "gridftp", "checksum.mismatch", "cache/b.ncx"},
+      {310 * kSecond, "gridftp", "corruption.refetch", "cache/b.ncx"},
+  });
+  const auto not_chaos = stream({
+      {10 * kSecond, "rm", "fault.brownout.begin", "x"},
+  });
 
-  // Fired mid-fault: the active brownout wins.
-  const auto* active = eo::correlate_alert(events, alert_at(30 * kSecond));
-  ASSERT_NE(active, nullptr);
-  EXPECT_EQ(active->name, "fault.brownout.begin");
-  // Fired after the corruption: the most recent fault within the window.
-  const auto* recent = eo::correlate_alert(events, alert_at(100 * kSecond));
-  ASSERT_NE(recent, nullptr);
-  EXPECT_EQ(recent->name, "fault.corruption");
-  // Fired long after everything ended: nothing plausibly explains it.
-  EXPECT_EQ(eo::correlate_alert(events, alert_at(400 * kSecond)), nullptr);
-  // Non-chaos events never correlate.
-  std::vector<eo::FlightEvent> other;
-  other.push_back(chaos_event(0, 10 * kSecond, "fault.brownout.begin", "x"));
-  other[0].category = "rm";
-  EXPECT_EQ(eo::correlate_alert(other, alert_at(20 * kSecond)), nullptr);
+  constexpr int kAlert = -1;  // no symptom event: an alert's firing time
+  constexpr int kNone = -1;   // nothing plausibly explains it
+  struct Case {
+    const char* what;
+    const std::vector<eo::FlightEvent>& events;
+    SimTime at;
+    int symptom;  // index of the symptom event in `events`, or kAlert
+    int cause;    // index of the fault it names, or kNone
+  };
+  const Case cases[] = {
+      {"fired mid-fault: the active brownout wins", faults, 30 * kSecond,
+       kAlert, 0},
+      {"fired after the corruption: the latest fault in the window", faults,
+       100 * kSecond, kAlert, 2},
+      {"a corruption never consumed stops acting at its injection", faults,
+       211 * kSecond, kAlert, kNone},
+      {"fired long after everything ended", faults, 400 * kSecond, kAlert,
+       kNone},
+      {"a consumed corruption is recent from its consumption", consumed_late,
+       300 * kSecond, kAlert, 0},
+      {"...and only within the window of it", consumed_late, 371 * kSecond,
+       kAlert, kNone},
+      {"a .begin with no recorded .end is still active", never_lifted,
+       1000 * kSecond, kAlert, 0},
+      {"a mismatch with no injection falls back to the window rule",
+       no_injection, 30 * kSecond, 1, 0},
+      {"...and so does its refetch", no_injection, 30 * kSecond, 2, 0},
+      {"a refetch whose mismatch is not in the stream falls back too",
+       refetch_only, 30 * kSecond, 2, 1},
+      {"the first mismatch consumed the first injection", two_armed,
+       300 * kSecond, 3, 0},
+      {"a refetch is explained by its mismatch's injection", two_armed,
+       300 * kSecond, 4, 0},
+      {"the second mismatch consumed the second injection", two_armed,
+       310 * kSecond, 5, 1},
+      {"an alert between them prefers the active brownout", two_armed,
+       305 * kSecond, kAlert, 2},
+      {"non-chaos events never explain anything", not_chaos, 20 * kSecond,
+       kAlert, kNone},
+  };
+  for (const Case& c : cases) {
+    SCOPED_TRACE(c.what);
+    const eo::FlightEvent symptom =
+        c.symptom == kAlert ? eo::FlightEvent{} : c.events[c.symptom];
+    const eo::FlightEvent* got = eo::attribute_fault(c.events, c.at, symptom);
+    const eo::FlightEvent* want = c.cause == kNone ? nullptr
+                                                   : &c.events[c.cause];
+    EXPECT_EQ(got, want) << "named " << (got != nullptr ? got->name : "none");
+  }
 }
 
 // ------------------------------------------------- manifest serialization
