@@ -34,12 +34,22 @@ std::vector<std::string> Entry::take_values(const std::string& attr) {
   return node ? std::move(node.mapped()) : std::vector<std::string>{};
 }
 
-void Entry::serialize(common::ByteWriter& w) const {
+void Entry::serialize(common::ByteWriter& w,
+                      const std::vector<std::string>& attrs) const {
+  const auto selected = [&attrs](const auto& attr_vals) {
+    return attrs.empty() ||
+           std::any_of(attrs.begin(), attrs.end(),
+                       [&attr_vals](const std::string& name) {
+                         return common::iequals(name, attr_vals.first);
+                       });
+  };
   w.str(dn_.to_string());
-  w.u32(static_cast<std::uint32_t>(attrs_.size()));
-  for (const auto& [attr, vals] : attrs_) {
-    w.str(attr);
-    w.str_vec(vals);
+  w.u32(static_cast<std::uint32_t>(
+      std::count_if(attrs_.begin(), attrs_.end(), selected)));
+  for (const auto& attr_vals : attrs_) {
+    if (!selected(attr_vals)) continue;
+    w.str(attr_vals.first);
+    w.str_vec(attr_vals.second);
   }
 }
 

@@ -67,7 +67,12 @@ class Entry {
     return attrs_;
   }
 
-  void serialize(common::ByteWriter& w) const;
+  /// Write the DN and the attributes named in `attrs`, matched
+  /// case-insensitively, in stored order; an empty `attrs` writes every
+  /// attribute, as an LDAP search that names none returns all (RFC 2251
+  /// §4.5.1).  Names the entry lacks are skipped.
+  void serialize(common::ByteWriter& w,
+                 const std::vector<std::string>& attrs = {}) const;
   static common::Result<Entry> deserialize(common::ByteReader& r);
 
  private:

@@ -15,7 +15,8 @@ struct Filter::Node {
   enum class Kind { and_, or_, not_, equals, present, ge, le, all };
   Kind kind = Kind::all;
   std::string attr;
-  std::string value;  // may contain '*' for equals
+  std::string value;      // escapes decoded
+  bool wildcard = false;  // equals only: `value`'s '*'s are wildcards
   std::vector<std::shared_ptr<const Node>> children;
 };
 
@@ -107,9 +108,18 @@ class Parser {
         ++pos_;
       }
       node->attr = common::to_lower(attr);
-      node->value = std::string(common::trim(text_.substr(vstart, pos_ - vstart)));
-      if (node->kind == Node::Kind::equals && node->value == "*") {
+      const std::string_view raw =
+          common::trim(std::string_view(text_).substr(vstart, pos_ - vstart));
+      const bool has_star = raw.find('*') != std::string_view::npos;
+      if (node->kind == Node::Kind::equals && raw == "*") {
         node->kind = Node::Kind::present;
+      } else if (raw.find('\\') == std::string_view::npos) {
+        node->value = std::string(raw);
+        node->wildcard = node->kind == Node::Kind::equals && has_star;
+      } else if (node->kind == Node::Kind::equals && has_star) {
+        return err("value mixes escapes with '*' wildcards");
+      } else if (!unescape(raw, node->value)) {
+        return err("malformed '\\XX' escape");
       }
     }
     skip_ws();
@@ -118,6 +128,30 @@ class Parser {
     }
     ++pos_;
     return std::const_pointer_cast<const Node>(node);
+  }
+
+  // Decodes RFC 4515 "\XX" escapes; false when one is malformed.
+  static bool unescape(std::string_view raw, std::string& out) {
+    const auto hex = [](char c) -> int {
+      if (c >= '0' && c <= '9') return c - '0';
+      if (c >= 'a' && c <= 'f') return c - 'a' + 10;
+      if (c >= 'A' && c <= 'F') return c - 'A' + 10;
+      return -1;
+    };
+    out.clear();
+    for (std::size_t i = 0; i < raw.size(); ++i) {
+      if (raw[i] != '\\') {
+        out += raw[i];
+        continue;
+      }
+      if (raw.size() - i < 3) return false;
+      const int hi = hex(raw[i + 1]);
+      const int lo = hex(raw[i + 2]);
+      if (hi < 0 || lo < 0) return false;
+      out += static_cast<char>(hi * 16 + lo);
+      i += 2;
+    }
+    return true;
   }
 
   const std::string& text_;
@@ -155,9 +189,8 @@ bool eval(const Node& node, const Entry& entry) {
       return entry.has(node.attr);
     case Node::Kind::equals:
       for (const auto& v : entry.values(node.attr)) {
-        if (node.value.find('*') != std::string::npos
-                ? common::wildcard_match(node.value, v)
-                : v == node.value) {
+        if (node.wildcard ? common::wildcard_match(node.value, v)
+                          : v == node.value) {
           return true;
         }
       }
@@ -192,11 +225,12 @@ std::string render(const Node& node) {
     case Node::Kind::present:
       return "(" + node.attr + "=*)";
     case Node::Kind::equals:
-      return "(" + node.attr + "=" + node.value + ")";
+      return "(" + node.attr + "=" +
+             (node.wildcard ? node.value : Filter::escape(node.value)) + ")";
     case Node::Kind::ge:
-      return "(" + node.attr + ">=" + node.value + ")";
+      return "(" + node.attr + ">=" + Filter::escape(node.value) + ")";
     case Node::Kind::le:
-      return "(" + node.attr + "<=" + node.value + ")";
+      return "(" + node.attr + "<=" + Filter::escape(node.value) + ")";
   }
   return "";
 }
@@ -216,6 +250,23 @@ Filter Filter::match_all() {
   return Filter(std::move(node));
 }
 
+std::string Filter::escape(std::string_view value) {
+  static constexpr char kHex[] = "0123456789abcdef";
+  std::string out;
+  out.reserve(value.size());
+  for (const char c : value) {
+    if (c == '*' || c == '(' || c == ')' || c == '\\' || c == '\0') {
+      const auto byte = static_cast<unsigned char>(c);
+      out += '\\';
+      out += kHex[byte >> 4];
+      out += kHex[byte & 0xf];
+    } else {
+      out += c;
+    }
+  }
+  return out;
+}
+
 bool Filter::matches(const Entry& entry) const {
   return root_ && eval(*root_, entry);
 }
@@ -223,7 +274,7 @@ bool Filter::matches(const Entry& entry) const {
 const std::string* Filter::required_class() const {
   const auto exact_class = [](const Node& n) {
     return n.kind == Node::Kind::equals && n.attr == "objectclass" &&
-           n.value.find('*') == std::string::npos;
+           !n.wildcard;
   };
   if (!root_) return nullptr;
   if (exact_class(*root_)) return &root_->value;

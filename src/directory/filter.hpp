@@ -2,11 +2,14 @@
 //
 // Supports conjunction &, disjunction |, negation !, equality with '*'
 // wildcards, presence (attr=*), and >= / <= comparisons (numeric when both
-// sides parse as integers, lexicographic otherwise).
+// sides parse as integers, lexicographic otherwise).  A value may spell a
+// byte as "\XX" (RFC 4515 §3); an escaped '*' is a literal, never a
+// wildcard, and a value mixing escapes with unescaped '*'s is rejected.
 #pragma once
 
 #include <memory>
 #include <string>
+#include <string_view>
 
 #include "common/result.hpp"
 #include "directory/entry.hpp"
@@ -21,6 +24,10 @@ class Filter {
 
   /// A filter matching every entry.
   static Filter match_all();
+
+  /// `value` with '*', '(', ')', '\' and NUL escaped as "\XX", so a name
+  /// spliced into a filter matches only itself.
+  static std::string escape(std::string_view value);
 
   bool matches(const Entry& entry) const;
 

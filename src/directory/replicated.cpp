@@ -130,7 +130,7 @@ void ReplicatedDirectoryClient::search(
       [base, scope, filter_text](
           DirectoryClient& c,
           std::function<void(Result<std::vector<Entry>>)> cb) {
-        c.search(base, scope, filter_text, std::move(cb));
+        c.search(base, scope, filter_text, {}, std::move(cb));
       },
       std::move(done));
 }

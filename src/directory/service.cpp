@@ -108,7 +108,9 @@ void DirectoryService::dispatch(const std::string& method, Payload request,
     auto base_text = r.str();
     auto scope_text = base_text ? r.str() : Result<std::string>(decode_error("search"));
     auto filter_text = scope_text ? r.str() : Result<std::string>(decode_error("search"));
-    if (!base_text || !scope_text || !filter_text) {
+    auto attrs = filter_text ? r.str_vec()
+                             : Result<std::vector<std::string>>(decode_error("search"));
+    if (!base_text || !scope_text || !filter_text || !attrs) {
       return reply(decode_error("search"));
     }
     auto base = Dn::parse(*base_text);
@@ -121,7 +123,7 @@ void DirectoryService::dispatch(const std::string& method, Payload request,
     if (!entries) return reply(entries.error());
     ByteWriter w;
     w.u32(static_cast<std::uint32_t>(entries->size()));
-    for (const Entry* e : *entries) e->serialize(w);
+    for (const Entry* e : *entries) e->serialize(w, *attrs);
     return reply(w.take());
   }
   reply(Error{Errc::protocol_error, "unknown directory method: " + method});
@@ -197,11 +199,13 @@ void DirectoryClient::lookup(const Dn& dn,
 
 void DirectoryClient::search(
     const Dn& base, Scope scope, const std::string& filter_text,
+    const std::vector<std::string>& attrs,
     std::function<void(Result<std::vector<Entry>>)> done) {
   ByteWriter w;
   w.str(base.to_string());
   w.str(scope_name(scope));
   w.str(filter_text);
+  w.str_vec(attrs);
   orb_.call(client_, server_, service_name_, "search", w.take(),
             [done = std::move(done)](Result<Payload> r) {
               if (!r) return done(r.error());

@@ -2,7 +2,8 @@
 // layer ("the LDAP protocol"), plus an async client.
 //
 // Wire methods: add (with ensure flag), replace, modify (attribute ops),
-// remove, lookup, search.  All payloads are ByteWriter-framed.
+// remove, lookup, search (base, scope, filter, then the attribute names to
+// return).  All payloads are ByteWriter-framed.
 #pragma once
 
 #include <functional>
@@ -67,7 +68,11 @@ class DirectoryClient {
   void lookup(const Dn& dn,
               std::function<void(common::Result<Entry>)> done);
 
+  /// Entries matching `filter_text`, each carrying its DN and only the
+  /// attributes named in `attrs` (case-insensitive; empty means all, as in
+  /// an LDAP search request).
   void search(const Dn& base, Scope scope, const std::string& filter_text,
+              const std::vector<std::string>& attrs,
               std::function<void(common::Result<std::vector<Entry>>)> done);
 
   const net::Host& server_host() const { return server_; }

@@ -76,6 +76,7 @@ void MdsClient::query_paths_to(
   client_.search(Dn::from_rdns({{"ou", "network"}, {"o", "mds"}}), Scope::one,
                  "(&(objectclass=networkperformance)(dsthost=" + dst_host +
                      "))",
+                 {},
                  [done = std::move(done)](Result<std::vector<Entry>> r) {
                    if (!r) return done(r.error());
                    std::vector<NetworkRecord> out;

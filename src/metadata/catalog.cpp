@@ -87,7 +87,7 @@ void MetadataCatalog::publish_dataset(const DatasetInfo& dataset,
 void MetadataCatalog::lookup_dataset(
     const std::string& name, std::function<void(Result<DatasetInfo>)> done) {
   client_.search(
-      dataset_dn(name), Scope::sub, "(objectclass=*)",
+      dataset_dn(name), Scope::sub, "(objectclass=*)", {},
       [name, done = std::move(done)](Result<std::vector<Entry>> r) {
         if (!r) return done(r.error());
         DatasetInfo info;
@@ -120,7 +120,7 @@ void MetadataCatalog::lookup_dataset(
 
 void MetadataCatalog::list_datasets(
     std::function<void(Result<std::vector<std::string>>)> done) {
-  client_.search(root_dn(), Scope::one, "(objectclass=dataset)",
+  client_.search(root_dn(), Scope::one, "(objectclass=dataset)", {},
                  [done = std::move(done)](Result<std::vector<Entry>> r) {
                    if (!r) return done(r.error());
                    std::vector<std::string> names;
@@ -152,6 +152,7 @@ void MetadataCatalog::files_for(
             "(&(objectclass=timechunk)(startmonth<=" +
                 std::to_string(month_end - 1) + ")(endmonth>=" +
                 std::to_string(month_start + 1) + "))",
+            {},
             [collection = info->collection, done = std::move(done)](
                 Result<std::vector<Entry>> r) {
               if (!r) return done(r.error());

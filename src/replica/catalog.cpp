@@ -1,5 +1,7 @@
 #include "replica/catalog.hpp"
 
+#include "directory/filter.hpp"
+
 namespace esg::replica {
 
 using common::Errc;
@@ -102,7 +104,7 @@ void ReplicaCatalog::list_locations(
     const std::string& collection,
     std::function<void(Result<std::vector<LocationInfo>>)> done) {
   client_.search(collection_dn(collection), Scope::one,
-                 "(objectclass=location)",
+                 "(objectclass=location)", {},
                  [done = std::move(done)](Result<std::vector<Entry>> r) {
                    if (!r) return done(r.error());
                    std::vector<LocationInfo> out;
@@ -117,9 +119,15 @@ void ReplicaCatalog::list_locations(
 void ReplicaCatalog::find_replicas(
     const std::string& collection, const std::string& filename,
     std::function<void(Result<std::vector<Replica>>)> done) {
+  // What replica selection reads; each location's filename list, the bulk
+  // of its entry, stays on the server.
+  static const std::vector<std::string> kReplicaAttrs = {
+      "name", "hostname", "protocol", "path", "storagetype"};
   client_.search(
       collection_dn(collection), Scope::one,
-      "(&(objectclass=location)(filename=" + filename + "))",
+      "(&(objectclass=location)(filename=" +
+          directory::Filter::escape(filename) + "))",
+      kReplicaAttrs,
       [collection, filename, done = std::move(done)](Result<std::vector<Entry>> r) {
         if (!r) return done(r.error());
         std::vector<Replica> out;

@@ -31,7 +31,9 @@ struct LocationInfo {
   std::string hostname;   // e.g. "jupiter.isi.edu"
   std::string protocol = "gsiftp";
   std::string path;       // directory prefix at the location
-  std::vector<std::string> files;  // files of the collection present here
+  // Files of the collection present here.  list_locations fills it;
+  // find_replicas leaves it empty, since selection never reads it.
+  std::vector<std::string> files;
   std::string storage_type = "disk";  // "disk" or "mss" (HRM-fronted tape)
 
   /// URL for one file of the collection at this location.
@@ -87,7 +89,10 @@ class ReplicaCatalog {
       const std::string& collection,
       std::function<void(common::Result<std::vector<LocationInfo>>)> done);
 
-  /// All locations holding a given file, with ready-made URLs.
+  /// All locations holding a given file, with ready-made URLs.  `filename`
+  /// matches literally (it is escaped into the filter), and each
+  /// location's `files` is empty: the search asks only for the attributes
+  /// replica selection reads.
   void find_replicas(
       const std::string& collection, const std::string& filename,
       std::function<void(common::Result<std::vector<Replica>>)> done);
@@ -106,7 +111,8 @@ class ReplicaCatalog {
   directory::Dn root_dn() const;
   directory::Dn collection_dn(const std::string& collection) const;
 
-  /// Consumes the entry: its filename list moves into `files`.
+  /// Consumes the entry: its filename list, if it carries one, moves into
+  /// `files`.
   static LocationInfo location_from_entry(directory::Entry&& entry);
 
  private:

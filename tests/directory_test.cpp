@@ -2,6 +2,8 @@
 // and evaluation, the server tree, and the RPC-served client.
 #include <gtest/gtest.h>
 
+#include <optional>
+
 #include "common/rng.hpp"
 #include "directory/dn.hpp"
 #include "directory/entry.hpp"
@@ -207,11 +209,51 @@ TEST(Filter, RequiredClassOnlyForExactObjectclassEquality) {
   EXPECT_EQ(required("(&(objectclass=a)(objectclass=b))"), "a");
   EXPECT_EQ(required("(objectclass=loc*)"), "(none)");
   EXPECT_EQ(required("(objectclass=*)"), "(none)");
+  EXPECT_EQ(required("(objectclass=\\2a)"), "*");  // escaped: exact
   EXPECT_EQ(required("(|(objectclass=a)(objectclass=b))"), "(none)");
   EXPECT_EQ(required("(!(objectclass=a))"), "(none)");
   EXPECT_EQ(required("(&(|(objectclass=a)))"), "(none)");  // not a direct child
   EXPECT_EQ(required("(name=location)"), "(none)");
   EXPECT_EQ(ed::Filter::match_all().required_class(), nullptr);
+}
+
+TEST(Filter, EscapedStarIsALiteralNotAWildcard) {
+  ed::Entry starred(dn("x=1,o=g"));
+  starred.add("name", "a*b");
+  ed::Entry plain(dn("x=2,o=g"));
+  plain.add("name", "axb");
+  ed::Entry lone(dn("x=3,o=g"));
+  lone.add("name", "*");
+
+  EXPECT_TRUE(filter("(name=a\\2ab)").matches(starred));
+  EXPECT_FALSE(filter("(name=a\\2Ab)").matches(plain));
+  EXPECT_TRUE(filter("(name=a*b)").matches(plain));  // unescaped: a wildcard
+  EXPECT_TRUE(filter("(name=\\2a)").matches(lone));  // a value, not presence
+  EXPECT_FALSE(filter("(name=\\2a)").matches(plain));
+  EXPECT_EQ(filter("(name=a\\2Ab)").to_string(), "(name=a\\2ab)");
+
+  const auto mixed = ed::Filter::parse("(name=a\\2a*)");  // and a wildcard
+  ASSERT_FALSE(mixed.ok());
+  EXPECT_EQ(mixed.error().code, ec::Errc::invalid_argument);
+  EXPECT_FALSE(ed::Filter::parse("(name=a\\2)").ok());
+  EXPECT_FALSE(ed::Filter::parse("(name=\\zz)").ok());
+}
+
+TEST(Filter, EscapedValuesMatchOnlyThemselves) {
+  const std::vector<std::string> names = {
+      "plain.ncx", "*", "*.ncx", "feb*", "a(1).ncx", "back\\slash",
+      std::string("nul\0byte", 8)};
+  EXPECT_EQ(ed::Filter::escape(std::string("*()\\\0x", 6)),
+            "\\2a\\28\\29\\5c\\00x");
+  for (const auto& name : names) {
+    const ed::Filter f = filter("(filename=" + ed::Filter::escape(name) + ")");
+    EXPECT_EQ(filter(f.to_string()).to_string(), f.to_string()) << name;
+    for (const auto& other : names) {
+      ed::Entry e(dn("x=1,o=g"));
+      e.add("filename", other);
+      EXPECT_EQ(f.matches(e), other == name) << name << " vs " << other;
+    }
+  }
 }
 
 // ---------- Server ----------
@@ -472,7 +514,7 @@ TEST(DirectoryService, ClientRoundTrip) {
   ASSERT_TRUE(modified);
 
   bool found = false;
-  client.search(dn("o=grid"), ed::Scope::sub, "(filename=jan*)",
+  client.search(dn("o=grid"), ed::Scope::sub, "(filename=jan*)", {},
                 [&](ec::Result<std::vector<ed::Entry>> r) {
                   ASSERT_TRUE(r.ok());
                   ASSERT_EQ(r->size(), 1u);
@@ -518,4 +560,151 @@ TEST(DirectoryService, LookupMissingReportsNotFound) {
   });
   sim.run();
   EXPECT_TRUE(got);
+}
+
+namespace {
+
+// A client and a directory server on two hosts of a small network.
+struct ServiceWorld {
+  es::Simulation sim;
+  en::Network net{sim};
+  en::Host* client_host = nullptr;
+  en::Host* server_host = nullptr;
+  esg::rpc::Orb orb{net};
+  std::shared_ptr<ed::DirectoryServer> server =
+      std::make_shared<ed::DirectoryServer>();
+  std::unique_ptr<ed::DirectoryService> service;
+
+  ServiceWorld() {
+    net.add_site("a");
+    net.add_site("b");
+    net.add_link({.name = "l", .site_a = "a", .site_b = "b",
+                  .capacity = ec::mbps(100),
+                  .latency = 5 * ec::kMillisecond});
+    client_host = net.add_host({.name = "c", .site = "a"});
+    server_host = net.add_host({.name = "s", .site = "b"});
+    service = std::make_unique<ed::DirectoryService>(orb, *server_host, server);
+  }
+
+  ed::DirectoryClient client() {
+    return ed::DirectoryClient(orb, *client_host, *server_host);
+  }
+
+  // The reply DirectoryService::dispatch gives a raw request payload.
+  ec::Result<esg::rpc::Payload> dispatch(const std::string& method,
+                                         esg::rpc::Payload request) {
+    std::optional<ec::Result<esg::rpc::Payload>> got;
+    EXPECT_NO_THROW(service->dispatch(
+        method, std::move(request),
+        [&got](ec::Result<esg::rpc::Payload> r) { got = std::move(r); }));
+    EXPECT_TRUE(got.has_value()) << method << " never replied";
+    return got ? std::move(*got)
+               : ec::Result<esg::rpc::Payload>(
+                     ec::Error{ec::Errc::internal, "no reply"});
+  }
+};
+
+// A location entry shaped like the replica catalog's.
+ed::Entry location_entry() {
+  ed::Entry e(dn("loc=sprite-llnl,lc=co2,rc=esg,o=grid"));
+  e.add("objectclass", "location");
+  e.add("name", "sprite-llnl");
+  e.add("hostname", "llnl.host");
+  e.add("path", "pcmdi/co2");
+  for (const char* f : {"jan.ncx", "feb.ncx", "mar.ncx"}) e.add("filename", f);
+  return e;
+}
+
+// A search request's fields before its attribute list, framed as
+// DirectoryClient::search frames them.
+ec::ByteWriter search_head() {
+  ec::ByteWriter w;
+  w.str("o=grid");
+  w.str(ed::scope_name(ed::Scope::sub));
+  w.str("(objectclass=location)");
+  return w;
+}
+
+esg::rpc::Payload search_request(const std::vector<std::string>& attrs) {
+  ec::ByteWriter w = search_head();
+  w.str_vec(attrs);
+  return w.take();
+}
+
+}  // namespace
+
+TEST(DirectoryService, SearchReturnsOnlyTheRequestedAttributes) {
+  ServiceWorld w;
+  const ed::Entry stored = location_entry();
+  ASSERT_TRUE(w.server->ensure(stored).ok());
+  auto client = w.client();
+  const auto search = [&](const std::vector<std::string>& attrs) {
+    std::vector<ed::Entry> out;
+    bool done = false;
+    client.search(dn("o=grid"), ed::Scope::sub, "(objectclass=location)",
+                  attrs, [&](ec::Result<std::vector<ed::Entry>> r) {
+                    ASSERT_TRUE(r.ok()) << r.error().to_string();
+                    out = std::move(*r);
+                    done = true;
+                  });
+    w.sim.run();
+    EXPECT_TRUE(done);
+    return out;
+  };
+  const auto attr_names = [](const ed::Entry& e) {
+    std::vector<std::string> out;
+    for (const auto& [attr, vals] : e.attributes()) out.push_back(attr);
+    return out;
+  };
+
+  const auto full = search({});
+  ASSERT_EQ(full.size(), 1u);
+  EXPECT_EQ(full[0].attributes(), stored.attributes());
+
+  // Case-insensitive names; one the entry lacks is simply absent.
+  const auto some = search({"HostName", "FILENAME", "nosuch"});
+  ASSERT_EQ(some.size(), 1u);
+  EXPECT_EQ(some[0].dn(), stored.dn());
+  EXPECT_EQ(attr_names(some[0]),
+            (std::vector<std::string>{"filename", "hostname"}));
+  for (const auto& [attr, vals] : some[0].attributes()) {
+    EXPECT_EQ(vals, full[0].values(attr)) << attr;
+  }
+
+  const auto none = search({"nosuch"});
+  ASSERT_EQ(none.size(), 1u);
+  EXPECT_EQ(none[0].dn(), stored.dn());  // the DN always comes back
+  EXPECT_TRUE(none[0].attributes().empty());
+}
+
+TEST(DirectoryService, NamingEveryAttributeRepliesAsNamingNone) {
+  ServiceWorld w;
+  ASSERT_TRUE(w.server->ensure(location_entry()).ok());
+  const auto all = w.dispatch("search", search_request({}));
+  // Every attribute, in another order and case.
+  const auto named = w.dispatch(
+      "search", search_request({"PATH", "objectClass", "filename", "name",
+                                "hostname"}));
+  const auto one = w.dispatch("search", search_request({"name"}));
+  ASSERT_TRUE(all.ok() && named.ok() && one.ok());
+  EXPECT_EQ(*named, *all);
+  EXPECT_LT(one->size(), all->size());
+}
+
+TEST(DirectoryService, MalformedSearchAttributeListIsAProtocolError) {
+  ServiceWorld w;
+  ASSERT_TRUE(w.server->ensure(location_entry()).ok());
+  ec::ByteWriter truncated = search_head();
+  truncated.u32(2);
+  truncated.str("name");
+  truncated.u32(8);  // the second name claims 8 bytes, 4 follow
+  truncated.raw("host", 4);
+  ec::ByteWriter huge = search_head();
+  huge.u32(0xFFFFFFFFu);  // 4G names claimed, one empty name's 4 bytes sent
+  huge.u32(0);
+  for (ec::ByteWriter* request : {&truncated, &huge}) {
+    const auto r = w.dispatch("search", request->take());
+    ASSERT_FALSE(r.ok());
+    EXPECT_EQ(r.error().code, ec::Errc::protocol_error);
+  }
 }

@@ -1,6 +1,8 @@
 // Tests for the replica catalog (Fig 6 schema) and the replica manager.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "scenario/star.hpp"
 #include "replica/manager.hpp"
 
@@ -84,21 +86,78 @@ TEST(ReplicaCatalog, Fig6FindReplicasPartialVsComplete) {
   EXPECT_TRUE(checked);
 }
 
-TEST(ReplicaCatalog, FindReplicasCarriesEachLocationsFullFileList) {
+// find_replicas asks only for what replica selection reads: each location
+// is list_locations' entry of the same name without its file list.
+TEST(ReplicaCatalog, FindReplicasLocationsAreListLocationsWithoutFiles) {
   Fig6 f;
+  std::vector<er::LocationInfo> listed;
+  f.catalog.list_locations("CO2 measurements 1998",
+                           [&](ec::Result<std::vector<er::LocationInfo>> r) {
+                             ASSERT_TRUE(r.ok());
+                             listed = std::move(*r);
+                           });
+  f.grid.sim.run();
+  ASSERT_EQ(listed.size(), 2u);
+  EXPECT_EQ(listed[1].name, "sprite-llnl");
+  EXPECT_EQ(listed[1].files, f.files);  // list_locations keeps the lists
+
   bool checked = false;
   f.catalog.find_replicas(
       "CO2 measurements 1998", "jan.ncx",
       [&](ec::Result<std::vector<er::Replica>> r) {
         ASSERT_TRUE(r.ok());
         ASSERT_EQ(r->size(), 2u);
-        EXPECT_EQ((*r)[0].location.name, "jupiter-isi");
-        EXPECT_EQ((*r)[0].location.files,
-                  std::vector<std::string>{"jan.ncx"});
-        EXPECT_EQ((*r)[1].location.name, "sprite-llnl");
-        EXPECT_EQ((*r)[1].location.files, f.files);
+        for (const auto& rep : *r) {
+          const er::LocationInfo& got = rep.location;
+          const auto want =
+              std::find_if(listed.begin(), listed.end(),
+                           [&](const auto& l) { return l.name == got.name; });
+          ASSERT_NE(want, listed.end()) << got.name;
+          EXPECT_EQ(got.hostname, want->hostname);
+          EXPECT_EQ(got.protocol, want->protocol);
+          EXPECT_EQ(got.path, want->path);
+          EXPECT_EQ(got.storage_type, want->storage_type);
+          EXPECT_TRUE(got.files.empty()) << got.name;
+        }
         checked = true;
       });
+  f.grid.sim.run();
+  EXPECT_TRUE(checked);
+}
+
+// A logical filename is a name, not a filter pattern.
+TEST(ReplicaCatalog, FilenamesMatchLiterallyNotAsPatterns) {
+  Fig6 f;
+  for (const std::string name : {"*", "*.ncx", "feb*"}) {
+    bool checked = false;
+    f.catalog.find_replicas("CO2 measurements 1998", name,
+                            [&](ec::Result<std::vector<er::Replica>> r) {
+                              ASSERT_FALSE(r.ok()) << name;
+                              EXPECT_EQ(r.error().code, ec::Errc::not_found);
+                              checked = true;
+                            });
+    f.grid.sim.run();
+    EXPECT_TRUE(checked) << name;
+  }
+
+  // "a*b.ncx" at jupiter only; sprite holds a name the pattern would match.
+  f.catalog.add_file_to_location("CO2 measurements 1998", "jupiter-isi",
+                                 "a*b.ncx",
+                                 [](ec::Status st) { ASSERT_TRUE(st.ok()); });
+  f.catalog.add_file_to_location("CO2 measurements 1998", "sprite-llnl",
+                                 "aXb.ncx",
+                                 [](ec::Status st) { ASSERT_TRUE(st.ok()); });
+  f.grid.sim.run();
+  bool checked = false;
+  f.catalog.find_replicas("CO2 measurements 1998", "a*b.ncx",
+                          [&](ec::Result<std::vector<er::Replica>> r) {
+                            ASSERT_TRUE(r.ok());
+                            ASSERT_EQ(r->size(), 1u);
+                            EXPECT_EQ(r->front().location.name, "jupiter-isi");
+                            EXPECT_EQ(r->front().url.to_string(),
+                                      "gsiftp://isi.host/co2/1998/a*b.ncx");
+                            checked = true;
+                          });
   f.grid.sim.run();
   EXPECT_TRUE(checked);
 }
