@@ -1,5 +1,7 @@
 #include "mds/mds.hpp"
 
+#include "directory/filter.hpp"
+
 namespace esg::mds {
 
 using common::Result;
@@ -74,8 +76,8 @@ void MdsClient::query_paths_to(
     const std::string& dst_host,
     std::function<void(Result<std::vector<NetworkRecord>>)> done) {
   client_.search(Dn::from_rdns({{"ou", "network"}, {"o", "mds"}}), Scope::one,
-                 "(&(objectclass=networkperformance)(dsthost=" + dst_host +
-                     "))",
+                 "(&(objectclass=networkperformance)(dsthost=" +
+                     directory::Filter::escape(dst_host) + "))",
                  {},
                  [done = std::move(done)](Result<std::vector<Entry>> r) {
                    if (!r) return done(r.error());

@@ -114,23 +114,27 @@ std::string to_chrome_trace(const Tracer& tracer) {
          json_escape(name) + "\"}}");
   }
 
-  for (const auto& rec : tracer.closed_spans()) {
-    std::string ev = "{\"name\":\"" + json_escape(rec.name) + "\"";
-    if (!rec.category.empty()) {
-      ev += ",\"cat\":\"" + json_escape(rec.category) + "\"";
+  // Spans are read in place; one still open renders clamped at the clock.
+  tracer.read_spans([&emit](const std::vector<SpanRecord>& spans,
+                            common::SimTime at) {
+    for (const auto& rec : spans) {
+      std::string ev = "{\"name\":\"" + json_escape(rec.name) + "\"";
+      if (!rec.category.empty()) {
+        ev += ",\"cat\":\"" + json_escape(rec.category) + "\"";
+      }
+      ev += ",\"ph\":\"X\",\"ts\":" + fmt_micros(rec.start) +
+            ",\"dur\":" + fmt_micros(rec.end_at(at) - rec.start) +
+            ",\"pid\":1,\"tid\":" + std::to_string(rec.track);
+      ev += ",\"args\":{\"span_id\":" + std::to_string(rec.id) +
+            ",\"parent_id\":" + std::to_string(rec.parent);
+      if (rec.reads_clamped()) ev += ",\"clamped\":\"true\"";
+      for (const auto& [k, v] : rec.attrs) {
+        ev += ",\"" + json_escape(k) + "\":\"" + json_escape(v) + "\"";
+      }
+      ev += "}}";
+      emit(ev);
     }
-    ev += ",\"ph\":\"X\",\"ts\":" + fmt_micros(rec.start) +
-          ",\"dur\":" + fmt_micros(rec.end - rec.start) +
-          ",\"pid\":1,\"tid\":" + std::to_string(rec.track);
-    ev += ",\"args\":{\"span_id\":" + std::to_string(rec.id) +
-          ",\"parent_id\":" + std::to_string(rec.parent);
-    if (rec.clamped) ev += ",\"clamped\":\"true\"";
-    for (const auto& [k, v] : rec.attrs) {
-      ev += ",\"" + json_escape(k) + "\":\"" + json_escape(v) + "\"";
-    }
-    ev += "}}";
-    emit(ev);
-  }
+  });
 
   for (const auto& rec : tracer.instants()) {
     std::string ev = "{\"name\":\"" + json_escape(rec.name) + "\"";

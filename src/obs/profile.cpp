@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cstdio>
 #include <cstdlib>
+#include <iterator>
 #include <map>
 #include <unordered_map>
 
@@ -160,27 +161,26 @@ const FileProfile* TimeWhereProfile::find(std::string_view file) const {
   return nullptr;
 }
 
-TimeWhereProfile build_profile(const std::vector<SpanRecord>& raw_spans,
-                               const std::vector<FlightEvent>& events,
-                               common::SimTime at,
-                               const ProfileOptions& options) {
+namespace {
+
+// The profile over `spans` and `events` as they lie: a live tracer's
+// records and the recorder's ring are read in place, never copied.  A span
+// still open is read as ending at `at` (SpanRecord::end_at).
+template <typename Events>
+TimeWhereProfile profile_of(const std::vector<SpanRecord>& spans,
+                            const Events& events, SimTime at,
+                            const ProfileOptions& options) {
   TimeWhereProfile profile;
   profile.root_span = options.root_span;
   profile.at = at;
 
-  // Clamp any still-open span to the capture time so truncated runs
-  // decompose with real durations.
-  std::vector<SpanRecord> spans = raw_spans;
-  for (auto& rec : spans) {
-    if (rec.open()) {
-      rec.end = at;
-      rec.clamped = true;
-    }
-  }
-
-  std::unordered_map<SpanId, const SpanRecord*> by_id;
-  by_id.reserve(spans.size());
-  for (const auto& rec : spans) by_id[rec.id] = &rec;
+  // A span's id is its 1-based position in the records, as the tracer
+  // allots them, so a parent is found by index rather than through a map.
+  const auto span_of = [&spans](SpanId id) -> const SpanRecord* {
+    if (id == 0 || id > spans.size()) return nullptr;
+    const SpanRecord* rec = &spans[id - 1];
+    return rec->id == id ? rec : nullptr;
+  };
 
   // Host breaker timelines from the global event stream.  A breaker
   // refuses traffic from `breaker.open` until the next `breaker.closed`
@@ -207,6 +207,11 @@ TimeWhereProfile build_profile(const std::vector<SpanRecord>& raw_spans,
 
   // Collect roots and their per-track context.
   std::vector<RootContext> roots;
+  roots.reserve(std::count_if(
+      spans.begin(), spans.end(),
+      [&options](const SpanRecord& rec) {
+        return rec.name == options.root_span;
+      }));
   for (const auto& rec : spans) {
     if (rec.name != options.root_span) continue;
     RootContext ctx;
@@ -238,9 +243,9 @@ TimeWhereProfile build_profile(const std::vector<SpanRecord>& raw_spans,
         under_root = true;
         break;
       }
-      auto pit = by_id.find(p);
-      if (pit == by_id.end()) break;
-      p = pit->second->parent;
+      const SpanRecord* parent = span_of(p);
+      if (parent == nullptr) break;
+      p = parent->parent;
     }
     if (under_root) ctx.descendants.push_back(&rec);
   }
@@ -264,6 +269,13 @@ TimeWhereProfile build_profile(const std::vector<SpanRecord>& raw_spans,
   }
 
   std::map<std::string, SimDuration> stack_weights;
+  // Buffers reused by every root and interval, so the sweep allocates only
+  // when one outgrows them.
+  std::vector<SimTime> bounds;
+  std::vector<const SpanRecord*> chain;
+  std::string stack;
+  std::vector<CriticalStep> steps;
+  profile.files.reserve(roots.size());
 
   for (auto& ctx : roots) {
     const SpanRecord& root = *ctx.root;
@@ -273,24 +285,25 @@ TimeWhereProfile build_profile(const std::vector<SpanRecord>& raw_spans,
     fp.track = root.track;
     fp.span = root.id;
     fp.start = root.start;
-    fp.end = root.end;
-    fp.clamped = root.clamped;
+    fp.end = root.end_at(at);
+    fp.clamped = root.reads_clamped();
     const std::string_view status = span_attr(root, "status");
     fp.failed = !status.empty() && status != "ok";
     if (fp.clamped) ++profile.clamped_spans;
 
     // Elementary boundaries: descendant edges, backoff window edges, and
     // candidate-host breaker transitions, all clamped into the root span.
-    std::vector<SimTime> bounds;
-    bounds.push_back(root.start);
-    bounds.push_back(root.end);
+    bounds.clear();
+    steps.clear();
+    bounds.push_back(fp.start);
+    bounds.push_back(fp.end);
     auto add_bound = [&](SimTime t) {
-      if (t > root.start && t < root.end) bounds.push_back(t);
+      if (t > fp.start && t < fp.end) bounds.push_back(t);
     };
-    ctx.first_child_start = root.end;
+    ctx.first_child_start = fp.end;
     for (const SpanRecord* d : ctx.descendants) {
       add_bound(d->start);
-      add_bound(d->end);
+      add_bound(d->end_at(at));
       if (starts_with(d->name, "hrm.")) fp.staged = true;
       ctx.first_child_start = std::min(ctx.first_child_start, d->start);
     }
@@ -327,12 +340,12 @@ TimeWhereProfile build_profile(const std::vector<SpanRecord>& raw_spans,
       const SpanRecord* deepest = &root;
       int deepest_depth = 0;
       for (const SpanRecord* d : ctx.descendants) {
-        if (d->start > a || d->end < b) continue;
+        if (d->start > a || d->end_at(at) < b) continue;
         int depth = 0;
         for (SpanId p = d->id; p != 0 && p != root.id;) {
-          auto pit = by_id.find(p);
-          if (pit == by_id.end()) break;
-          p = pit->second->parent;
+          const SpanRecord* s = span_of(p);
+          if (s == nullptr) break;
+          p = s->parent;
           ++depth;
         }
         if (depth > deepest_depth ||
@@ -366,13 +379,12 @@ TimeWhereProfile build_profile(const std::vector<SpanRecord>& raw_spans,
 
       // Collapsed stack: root → deepest chain, plus a synthetic leaf
       // frame for gap intervals.
-      std::vector<const SpanRecord*> chain;
+      chain.clear();
       for (const SpanRecord* s = deepest; s != nullptr && s->id != root.id;) {
         chain.push_back(s);
-        auto pit = by_id.find(s->parent);
-        s = pit == by_id.end() ? nullptr : pit->second;
+        s = span_of(s->parent);
       }
-      std::string stack = root.name;
+      stack = root.name;
       for (auto it = chain.rbegin(); it != chain.rend(); ++it) {
         stack += ';';
         stack += (*it)->name;
@@ -385,22 +397,21 @@ TimeWhereProfile build_profile(const std::vector<SpanRecord>& raw_spans,
 
       // Critical path: extend the previous step when the deepest span and
       // category repeat, else begin a new one.
-      const std::string frame = gap ? gap_frame(cat) : deepest->name;
-      if (!fp.critical_path.empty() &&
-          fp.critical_path.back().span == deepest->id &&
-          fp.critical_path.back().category == cat &&
-          fp.critical_path.back().end == a) {
-        fp.critical_path.back().end = b;
+      if (!steps.empty() && steps.back().span == deepest->id &&
+          steps.back().category == cat && steps.back().end == a) {
+        steps.back().end = b;
       } else {
         CriticalStep step;
-        step.frame = frame;
+        step.frame = gap ? gap_frame(cat) : deepest->name;
         step.category = cat;
         step.start = a;
         step.end = b;
         step.span = deepest->id;
-        fp.critical_path.push_back(std::move(step));
+        steps.push_back(std::move(step));
       }
     }
+    fp.critical_path.assign(std::make_move_iterator(steps.begin()),
+                            std::make_move_iterator(steps.end()));
 
     for (int i = 0; i < kProfileCategories; ++i) {
       profile.category_self[i] += fp.self[i];
@@ -410,8 +421,11 @@ TimeWhereProfile build_profile(const std::vector<SpanRecord>& raw_spans,
   }
 
   // Tail exemplars: the kExemplarsPerCategory slowest files per category.
+  profile.exemplars.reserve(kProfileCategories * kExemplarsPerCategory);
+  std::vector<const FileProfile*> ranked;
+  ranked.reserve(profile.files.size());
   for (int c = 0; c < kProfileCategories; ++c) {
-    std::vector<const FileProfile*> ranked;
+    ranked.clear();
     for (const auto& fp : profile.files) {
       if (fp.self[c] > 0) ranked.push_back(&fp);
     }
@@ -434,20 +448,31 @@ TimeWhereProfile build_profile(const std::vector<SpanRecord>& raw_spans,
   }
 
   profile.stacks.reserve(stack_weights.size());
-  for (auto& [stack, self] : stack_weights) {
-    profile.stacks.push_back(StackWeight{stack, self});
+  while (!stack_weights.empty()) {
+    auto node = stack_weights.extract(stack_weights.begin());
+    profile.stacks.push_back(StackWeight{std::move(node.key()), node.mapped()});
   }
   profile.files_profiled = profile.files.size();
   return profile;
 }
 
+}  // namespace
+
+TimeWhereProfile build_profile(const std::vector<SpanRecord>& spans,
+                               const std::vector<FlightEvent>& events,
+                               common::SimTime at,
+                               const ProfileOptions& options) {
+  return profile_of(spans, events, at, options);
+}
+
 TimeWhereProfile build_profile(const Tracer& tracer,
                                const FlightRecorder& recorder,
                                const ProfileOptions& options) {
-  std::vector<FlightEvent> events(recorder.events().begin(),
-                                  recorder.events().end());
-  TimeWhereProfile profile =
-      build_profile(tracer.closed_spans(), events, tracer.now(), options);
+  TimeWhereProfile profile;
+  tracer.read_spans([&](const std::vector<SpanRecord>& spans, SimTime at) {
+    profile = profile_of(spans, recorder.events(), at, options);
+  });
+  // Outside the read: the tracer's lock is held there.
   profile.dropped_spans = tracer.dropped();
   return profile;
 }

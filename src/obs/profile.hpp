@@ -147,15 +147,18 @@ struct TimeWhereProfile {
   std::string render() const;
 };
 
-/// Decompose every `options.root_span` span.  `spans` should come from
-/// Tracer::closed_spans() (or a manifest); any still-open span is clamped
-/// to `at`.  `events` is the flight-recorder stream (retained window).
+/// Decompose every `options.root_span` span in `spans`, which are in the
+/// tracer's order (`spans[i].id == i + 1`, as Tracer::spans() returns
+/// them); a span still open is read as ending at `at` (SpanRecord::end_at).
+/// `events` is the flight-recorder stream (retained window).
 TimeWhereProfile build_profile(const std::vector<SpanRecord>& spans,
                                const std::vector<FlightEvent>& events,
                                common::SimTime at,
                                const ProfileOptions& options = {});
 
-/// Convenience: capture from a live tracer + recorder at tracer.now().
+/// Capture from a live tracer + recorder at tracer.now().  The span records
+/// are read in place under the tracer's lock and the recorder's ring is
+/// iterated where it lies: neither is copied.
 TimeWhereProfile build_profile(const Tracer& tracer,
                                const FlightRecorder& recorder,
                                const ProfileOptions& options = {});

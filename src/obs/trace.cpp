@@ -75,10 +75,15 @@ void Tracer::end(SpanId id) {
   SpanRecord& rec = records_[id - 1];
   if (!rec.open()) return;
   rec.end = now;
-  // Async spans may end out of LIFO order; erase wherever it sits.
-  auto& stack = open_[rec.track];
+  // Async spans may end out of LIFO order; erase wherever it sits.  An
+  // emptied stack goes too: begin() recreates it, and an absent stack
+  // infers no parent just as an empty one does.
+  const auto track = open_.find(rec.track);
+  if (track == open_.end()) return;
+  auto& stack = track->second;
   auto it = std::find(stack.rbegin(), stack.rend(), id);
   if (it != stack.rend()) stack.erase(std::next(it).base());
+  if (stack.empty()) open_.erase(track);
 }
 
 void Tracer::set_attr(SpanId id, std::string key, std::string value) {
@@ -117,19 +122,6 @@ void Tracer::set_drop_hook(std::function<void(std::size_t)> hook) {
 std::vector<SpanRecord> Tracer::spans() const {
   std::scoped_lock lock(mu_);
   return records_;
-}
-
-std::vector<SpanRecord> Tracer::closed_spans() const {
-  const common::SimTime now = clock_();
-  std::scoped_lock lock(mu_);
-  std::vector<SpanRecord> out = records_;
-  for (auto& rec : out) {
-    if (rec.open()) {
-      rec.end = now;
-      rec.clamped = true;
-    }
-  }
-  return out;
 }
 
 std::vector<InstantRecord> Tracer::instants() const {

@@ -46,13 +46,20 @@ struct SpanRecord {
   std::string category;
   common::SimTime start = 0;
   common::SimTime end = -1;  // -1: still open
-  /// Set by closed_spans(): this record was still open at capture time and
-  /// its `end` is the capture clock, not a real end() call.
+  /// Set on a copy taken while the span was open, whose `end` was then set
+  /// to the capture clock; the tracer's own records never carry it.
   bool clamped = false;
   std::vector<std::pair<std::string, std::string>> attrs;
 
   bool open() const { return end < 0; }
   common::SimDuration duration() const { return open() ? 0 : end - start; }
+  /// The clamp rule, for every reader at capture clock `at`: a span still
+  /// open ends at `at` and reads as clamped, so truncated runs render with
+  /// real durations instead of end = -1.
+  common::SimTime end_at(common::SimTime at) const {
+    return open() ? at : end;
+  }
+  bool reads_clamped() const { return open() || clamped; }
 };
 
 struct InstantRecord {
@@ -141,10 +148,16 @@ class Tracer {
 
   // ---- inspection / export ----
   std::vector<SpanRecord> spans() const;  // copy; includes open spans
-  /// Copy with every still-open span clamped shut at the current clock
-  /// (`clamped` set) — exporters and the profiler use this so truncated
-  /// runs render with real durations instead of end = -1 / zero.
-  std::vector<SpanRecord> closed_spans() const;
+  /// Calls `read(records, at)` with the span records in place, under the
+  /// tracer's lock, where `at` is the capture clock; read a record's end
+  /// through SpanRecord::end_at(at).  The lock is not re-entrant, so
+  /// `read` must not call back into the tracer.
+  template <typename Read>
+  void read_spans(Read&& read) const {
+    const common::SimTime at = clock_();
+    std::scoped_lock lock(mu_);
+    read(records_, at);
+  }
   std::vector<InstantRecord> instants() const;
   std::map<TrackId, std::string> tracks() const;
   std::size_t span_count() const;
@@ -161,7 +174,8 @@ class Tracer {
   std::vector<SpanRecord> records_;             // id = index + 1
   std::vector<InstantRecord> instants_;
   std::map<TrackId, std::string> track_names_;  // includes 0 ("main")
-  std::map<TrackId, std::vector<SpanId>> open_; // per-track open-span stack
+  // Per-track open-span stack; a track with no open span has no entry.
+  std::map<TrackId, std::vector<SpanId>> open_;
   TrackId next_track_ = 1;
   std::size_t dropped_ = 0;
 };

@@ -327,6 +327,19 @@ TEST(Mds, QueryPathsToCollectsAllSources) {
       });
   grid.sim.run();
   EXPECT_TRUE(queried);
+
+  // The host name is a literal: wildcards in it match no record.
+  for (const char* pattern : {"*", "cli*"}) {
+    bool matched = false;
+    mds_client.query_paths_to(
+        pattern, [&](ec::Result<std::vector<esg::mds::NetworkRecord>> r) {
+          ASSERT_TRUE(r.ok());
+          EXPECT_TRUE(r->empty()) << pattern;
+          matched = true;
+        });
+    grid.sim.run();
+    EXPECT_TRUE(matched) << pattern;
+  }
 }
 
 TEST(Mds, RepublishOverwritesRecord) {

@@ -16,6 +16,8 @@
 #include "esg/testbed.hpp"
 #include "obs/export.hpp"
 #include "obs/metrics.hpp"
+#include "obs/profile.hpp"
+#include "obs/recorder.hpp"
 #include "obs/trace.hpp"
 #include "rm/monitor.hpp"
 #include "sim/simulation.hpp"
@@ -340,24 +342,73 @@ TEST(Tracer, ChromeTraceIsWellFormed) {
   EXPECT_NE(json.find("\"clamped\":\"true\""), std::string::npos);
 }
 
-TEST(Tracer, ClosedSpansClampOpenSpansAtCaptureClock) {
+TEST(Tracer, ReadersClampOpenSpansAtCaptureClock) {
   ec::SimTime now = 100;
   eo::Tracer tracer([&now] { return now; });
-  auto finished = tracer.span("finished");
+  eo::FlightRecorder recorder([&now] { return now; });
+  auto finished = tracer.span("rm.file", "rm", tracer.new_track("a"));
+  finished.set_attr("file", "finished.ncx");
   now = 200;
   finished.end();
-  auto open = tracer.span("open");
+  auto open = tracer.span("rm.file", "rm", tracer.new_track("b"));
+  open.set_attr("file", "open.ncx");
   now = 350;
 
-  const auto closed = tracer.closed_spans();
-  ASSERT_EQ(closed.size(), 2u);
-  EXPECT_EQ(closed[0].end, 200);
-  EXPECT_FALSE(closed[0].clamped);
-  EXPECT_EQ(closed[1].end, 350);  // capture clock, not -1
-  EXPECT_TRUE(closed[1].clamped);
-  EXPECT_EQ(closed[1].duration(), 150);  // started at 200, clamped at 350
-  // The live records are untouched: the span is still open.
+  // The Chrome trace: the open span lasts to the capture clock, 150 ns
+  // from its start at 200, and carries the flag; the finished one not.
+  const std::string json = eo::to_chrome_trace(tracer);
+  const auto event_of = [&json](const std::string& file) {
+    const std::size_t at = json.find("\"file\":\"" + file + "\"");
+    if (at == std::string::npos) return std::string();
+    const std::size_t begin = json.rfind('\n', at);
+    return json.substr(begin, json.find('\n', at) - begin);
+  };
+  const std::string closed_event = event_of("finished.ncx");
+  const std::string open_event = event_of("open.ncx");
+  EXPECT_NE(closed_event.find("\"dur\":0.100"), std::string::npos);
+  EXPECT_EQ(closed_event.find("clamped"), std::string::npos);
+  EXPECT_NE(open_event.find("\"dur\":0.150"), std::string::npos);
+  EXPECT_NE(open_event.find("\"clamped\":\"true\""), std::string::npos);
+
+  // The profile: the open root ends at the capture clock, flagged.
+  const auto profile = eo::build_profile(tracer, recorder);
+  EXPECT_EQ(profile.at, 350);
+  EXPECT_EQ(profile.clamped_spans, 1u);
+  const eo::FileProfile* closed_file = profile.find("finished.ncx");
+  const eo::FileProfile* open_file = profile.find("open.ncx");
+  ASSERT_NE(closed_file, nullptr);
+  ASSERT_NE(open_file, nullptr);
+  EXPECT_EQ(closed_file->end, 200);
+  EXPECT_FALSE(closed_file->clamped);
+  EXPECT_EQ(open_file->end, 350);  // capture clock, not -1
+  EXPECT_TRUE(open_file->clamped);
+  EXPECT_EQ(open_file->total(), 150);
+
+  // Neither reader touched the live record: the span is still open.
   EXPECT_TRUE(tracer.spans()[1].open());
+}
+
+TEST(Tracer, ParentInferenceSurvivesAnEmptiedTrack) {
+  ec::SimTime now = 0;
+  eo::Tracer tracer([&now] { return now; });
+  const auto track = tracer.new_track("worker");
+  // Out-of-order ends empty the track's open stack...
+  const auto outer = tracer.begin("outer", "", track);
+  const auto inner = tracer.begin("inner", "", track);
+  tracer.end(outer);
+  tracer.end(inner);
+  tracer.end(inner);  // ending twice is still a no-op
+  // ...and the spans begun after it nest only under each other.
+  const auto next = tracer.begin("next", "", track);
+  const auto child = tracer.begin("child", "", track);
+  tracer.end(child);
+  const auto sibling = tracer.begin("sibling", "", track);
+  const auto spans = tracer.spans();
+  ASSERT_EQ(spans.size(), 5u);
+  EXPECT_EQ(spans[inner - 1].parent, outer);
+  EXPECT_EQ(spans[next - 1].parent, 0u);
+  EXPECT_EQ(spans[child - 1].parent, next);
+  EXPECT_EQ(spans[sibling - 1].parent, next);
 }
 
 TEST(Tracer, DropHookReportsRunningTotalAndCapacityGrows) {

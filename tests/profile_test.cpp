@@ -6,8 +6,10 @@
 // with disk- and tape-resident files.
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <cstdlib>
 #include <memory>
+#include <new>
 #include <string>
 #include <vector>
 
@@ -27,6 +29,49 @@ using ec::kMillisecond;
 using ec::kSecond;
 using ec::mbps;
 using esg::scenario::UniformStar;
+
+// Global operator new counts the bytes of every heap allocation, so a test
+// below can bound what profiling a live trace allocates.  The tests are
+// single-threaded.  Every replaceable form is defined, so that under ASan
+// no block is allocated by one allocator and freed by another.
+namespace {
+std::uint64_t g_alloc_bytes = 0;
+
+void* counted_alloc(std::size_t size) noexcept {
+  g_alloc_bytes += size;
+  return std::malloc(size ? size : 1);
+}
+}  // namespace
+
+void* operator new(std::size_t size) {
+  if (void* p = counted_alloc(size)) return p;
+  throw std::bad_alloc();
+}
+void* operator new[](std::size_t size) { return operator new(size); }
+void* operator new(std::size_t size, const std::nothrow_t&) noexcept {
+  return counted_alloc(size);
+}
+void* operator new[](std::size_t size, const std::nothrow_t&) noexcept {
+  return counted_alloc(size);
+}
+// Out of line: inlined into the cleanup of a `new T`, the free() would trip
+// GCC's -Wmismatched-new-delete.
+[[gnu::noinline]] void operator delete(void* p) noexcept { std::free(p); }
+[[gnu::noinline]] void operator delete[](void* p) noexcept { std::free(p); }
+[[gnu::noinline]] void operator delete(void* p, std::size_t) noexcept {
+  std::free(p);
+}
+[[gnu::noinline]] void operator delete[](void* p, std::size_t) noexcept {
+  std::free(p);
+}
+[[gnu::noinline]] void operator delete(void* p,
+                                       const std::nothrow_t&) noexcept {
+  std::free(p);
+}
+[[gnu::noinline]] void operator delete[](void* p,
+                                         const std::nothrow_t&) noexcept {
+  std::free(p);
+}
 
 namespace {
 
@@ -269,15 +314,20 @@ struct ProfiledWorld {
     EXPECT_TRUE(grid.seeding_status().ok());
   }
 
-  eo::TimeWhereProfile run() {
+  // Submits every file; `done` is set once all of them have landed.
+  void submit(bool& done) {
     erm::RequestOptions opts;
     opts.transfer.buffer_size = 4 * ec::kMiB;
     opts.max_concurrent = 1;  // serialize => queue wait is real
-    bool done = false;
-    rm->submit(wanted, opts, [&](erm::RequestResult r) {
+    rm->submit(wanted, opts, [&done](erm::RequestResult r) {
       for (const auto& f : r.files) EXPECT_TRUE(f.status.ok()) << f.request.filename;
       done = true;
     });
+  }
+
+  eo::TimeWhereProfile run() {
+    bool done = false;
+    submit(done);
     grid.sim.run();
     EXPECT_TRUE(done);
     return eo::build_profile(grid.sim.tracer(), grid.sim.flight_recorder());
@@ -428,4 +478,73 @@ TEST(ProfileEndToEnd, CondensationKeepsExemplarRowsAndTrueCount) {
   const auto parsed = eo::RunManifest::from_json(manifest.to_json());
   ASSERT_TRUE(parsed.ok());
   EXPECT_EQ(parsed.value().to_json(), manifest.to_json());
+}
+
+TEST(ProfileEndToEnd, InPlaceMatchesACopiedTrace) {
+  // Stop partway, so some rm.file spans are still open at capture.
+  bool done = false;  // outlives the world, whose request may still run
+  ProfiledWorld w;
+  w.submit(done);
+  w.grid.sim.run_until(w.grid.sim.now() + 5 * kSecond);
+  ASSERT_FALSE(done);
+  const eo::Tracer& tracer = w.grid.sim.tracer();
+  const eo::FlightRecorder& recorder = w.grid.sim.flight_recorder();
+
+  const auto in_place = eo::build_profile(tracer, recorder);
+  ASSERT_EQ(in_place.files.size(), 5u);
+  EXPECT_GT(in_place.clamped_spans, 0u);
+  EXPECT_LT(in_place.clamped_spans, in_place.files.size());
+
+  // The same profile over copies: the records with each open span closed
+  // at the capture clock and flagged clamped, and the ring as a vector.
+  const ec::SimTime at = tracer.now();
+  std::vector<eo::SpanRecord> spans = tracer.spans();
+  for (auto& rec : spans) {
+    if (rec.open()) {
+      rec.end = at;
+      rec.clamped = true;
+    }
+  }
+  const std::vector<eo::FlightEvent> events(recorder.events().begin(),
+                                            recorder.events().end());
+  auto copied = eo::build_profile(spans, events, at);
+  copied.dropped_spans = tracer.dropped();
+  EXPECT_EQ(eo::profile_to_json(in_place), eo::profile_to_json(copied));
+  EXPECT_EQ(eo::to_collapsed_stacks(in_place),
+            eo::to_collapsed_stacks(copied));
+  // Reading clamped nothing in the tracer itself.
+  std::size_t still_open = 0;
+  for (const auto& rec : tracer.spans()) still_open += rec.open() ? 1 : 0;
+  EXPECT_GE(still_open, in_place.clamped_spans);
+}
+
+TEST(ProfileEndToEnd, InPlaceAllocatesLessThanOneSpanCopy) {
+  ProfiledWorld w;
+  (void)w.run();
+  const eo::Tracer& tracer = w.grid.sim.tracer();
+  const eo::FlightRecorder& recorder = w.grid.sim.flight_recorder();
+  const auto bytes_of = [](const auto& work) {
+    const std::uint64_t from = g_alloc_bytes;
+    work();
+    return g_alloc_bytes - from;
+  };
+
+  std::vector<eo::SpanRecord> spans;
+  const std::uint64_t copy_bytes =
+      bytes_of([&] { spans = tracer.spans(); });
+  const std::vector<eo::FlightEvent> events(recorder.events().begin(),
+                                            recorder.events().end());
+  eo::TimeWhereProfile profile;
+  const std::uint64_t in_place_bytes =
+      bytes_of([&] { profile = eo::build_profile(tracer, recorder); });
+  ASSERT_EQ(profile.files.size(), 5u);
+  // Copying the records, let alone twice, would cost at least copy_bytes.
+  EXPECT_LT(in_place_bytes, copy_bytes)
+      << "profile " << in_place_bytes << " B, one span copy " << copy_bytes
+      << " B";
+  // Profiling the live trace costs no more than profiling copies made
+  // beforehand: the work is the same and nothing is copied inside.
+  const std::uint64_t over_copies_bytes = bytes_of(
+      [&] { profile = eo::build_profile(spans, events, tracer.now()); });
+  EXPECT_LE(in_place_bytes, over_copies_bytes);
 }
