@@ -41,9 +41,9 @@ Outcome run(bool cache, int files, Bytes file_size) {
     if (i == 0) out.first_file_seconds = secs;
   }
   out.total_seconds = common::to_seconds(world.sim.now() - t0);
-  out.auths = world.client->stats().auth_handshakes;
-  out.setups = world.client->stats().data_channel_setups;
-  out.reused = world.client->stats().channels_reused;
+  out.auths = world.client.stats().auth_handshakes;
+  out.setups = world.client.stats().data_channel_setups;
+  out.reused = world.client.stats().channels_reused;
   return out;
 }
 

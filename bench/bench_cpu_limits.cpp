@@ -22,11 +22,11 @@ using common::kMillisecond;
 namespace {
 
 double throughput_with_cpu(common::Rate cpu_rate) {
-  net::HostConfig host{.name = "", .site = "",
-                       .nic_rate = common::gbps(1),
-                       .cpu_rate = cpu_rate,
-                       .disk_rate = common::gbps(1)};
-  bench::SimpleWorld world(common::gbps(1), 5 * kMillisecond, 0.0, host);
+  bench::SimpleWorld world(common::gbps(1), 5 * kMillisecond);
+  for (const net::Host* host :
+       {&world.server.host(), &world.client.local_host()}) {
+    world.net.fluid().set_capacity(host->cpu(), cpu_rate);
+  }
   const Bytes kFile = 250 * common::kMB;
   world.add_file("f", kFile);
   gridftp::TransferOptions opts;

@@ -35,21 +35,21 @@ struct DualWorld {
   DualWorld() {
     // DODS serves the same storage the GridFTP server does.
     dods_server = std::make_unique<dods::DodsServer>(
-        base.orb, *base.server_host, base.server->storage_ptr());
+        base.orb, base.server.host(), base.server.storage_ptr());
     dods_server->register_filter(
         climate::kNcxSubsetModule,
         [](const storage::FileObject& f, const std::string& c) {
           return climate::ncx_subset_module(f, c);
         });
-    dods_registry[base.server_host->name()] = dods_server.get();
+    dods_registry[base.server.host().name()] = dods_server.get();
     dods_client = std::make_unique<dods::DodsClient>(
-        base.orb, *base.client_host, std::make_shared<storage::HostStorage>(),
-        dods_registry);
+        base.orb, base.client.local_host(),
+        std::make_shared<storage::HostStorage>(), dods_registry);
     base.add_file("big.ncx", kBigFile);
     auto chunk = climate::ClimateModel(
                      climate::ModelConfig{climate::GridSpec{90, 180}, 3, 1995})
                      .write_chunk(0, 12);
-    (void)base.server->storage().put(
+    (void)base.server.storage().put(
         storage::FileObject::with_content("chunk.ncx", chunk));
   }
 
@@ -58,7 +58,7 @@ struct DualWorld {
     bool done = false;
     bool success = false;
     const auto t0 = base.sim.now();
-    dods_client->fetch(base.server_host->name(), path,
+    dods_client->fetch(base.server.host().name(), path,
                        "dods/" + std::to_string(base.sim.now()), opts,
                        [&](dods::DodsResult r) {
                          success = r.status.ok();
@@ -101,9 +101,9 @@ int main() {
   {
     DualWorld w;
     w.base.sim.schedule_at(30 * kSecond,
-                           [&] { w.base.net.set_link_down(*w.base.wan, true); });
+                           [&] { w.base.net.set_link_down(w.base.wan, true); });
     w.base.sim.schedule_at(90 * kSecond,
-                           [&] { w.base.net.set_link_down(*w.base.wan, false); });
+                           [&] { w.base.net.set_link_down(w.base.wan, false); });
     // GridFTP through the reliability plugin: restart from the marker.
     gridftp::TransferOptions opts;
     opts.parallelism = 8;
@@ -114,7 +114,7 @@ int main() {
     bool done = false;
     const auto t0 = w.base.sim.now();
     gridftp::ReliableGet::start(
-        *w.base.client, {{w.base.server_host->name(), "big.ncx"}}, "got.ncx",
+        w.base.client, {{w.base.server.host().name(), "big.ncx"}}, "got.ncx",
         opts, rel, nullptr,
         [&](gridftp::ReliableResult r) { done = r.status.ok(); });
     w.base.sim.run_while_pending([&] { return done; });
@@ -123,9 +123,9 @@ int main() {
   {
     DualWorld w;
     w.base.sim.schedule_at(30 * kSecond,
-                           [&] { w.base.net.set_link_down(*w.base.wan, true); });
+                           [&] { w.base.net.set_link_down(w.base.wan, true); });
     w.base.sim.schedule_at(90 * kSecond,
-                           [&] { w.base.net.set_link_down(*w.base.wan, false); });
+                           [&] { w.base.net.set_link_down(w.base.wan, false); });
     dods::DodsOptions opts;
     opts.stall_timeout = 10 * kSecond;
     opts.max_attempts = 10;  // re-GET from zero each time
@@ -140,7 +140,7 @@ int main() {
     gridftp::TransferOptions opts;
     opts.eret_module = gridftp::GridFtpServer::kPartialModule;
     // GridFTP's comparable path: the ncx.subset ERET module.
-    w.base.server->register_eret_module(
+    w.base.server.register_eret_module(
         climate::kNcxSubsetModule,
         [](const storage::FileObject& f, const std::string& p) {
           return climate::ncx_subset_module(f, p);

@@ -21,8 +21,8 @@
 #include "bench_util.hpp"
 #include "common/stats.hpp"
 #include "gridftp/reliability.hpp"
+#include "scenario/grid.hpp"
 #include "sim/failure.hpp"
-#include "sim/simulation.hpp"
 
 using namespace esg;
 using common::Bytes;
@@ -48,19 +48,12 @@ int parallelism_at(SimTime t) {
   return 8;
 }
 
-struct Fig8World {
-  sim::Simulation sim{1107};  // November 7, 2000
-  net::Network net{sim};
-  rpc::Orb orb{net};
-  security::CertificateAuthority ca{"/O=Grid/CN=ESG CA"};
-  gridftp::ServerRegistry registry;
-  std::unique_ptr<gridftp::GridFtpServer> server;
-  std::unique_ptr<gridftp::GridFtpClient> client;
+struct Fig8World : scenario::Grid {
   common::BandwidthSampler sampler{kSecond};
   int transfers_completed = 0;
   int attempts_total = 0;
 
-  Fig8World() {
+  Fig8World() : Grid(1107) {  // November 7, 2000
     net.add_site("dcc");
     net.add_site("chi");
     net.add_site("anl");
@@ -74,28 +67,16 @@ struct Fig8World {
                   .loss = 0.5e-4});
     // 100 Mb/s NICs; the receiving workstation's disk is the ~80 Mb/s
     // ceiling the paper observed.
-    auto* src = net.add_host({.name = "sender.dcc", .site = "dcc",
-                              .nic_rate = common::mbps(100),
-                              .cpu_rate = common::mbps(95),
-                              .disk_rate = common::mbps(90)});
-    net.add_host({.name = "receiver.anl", .site = "anl",
-                  .nic_rate = common::mbps(100),
-                  .cpu_rate = common::mbps(95),
-                  .disk_rate = common::mbps(82)});
-    security::GridMapFile gm;
-    gm.add("/O=Grid/CN=esg", "esg");
-    server = std::make_unique<gridftp::GridFtpServer>(
-        orb, *src, std::make_shared<storage::HostStorage>(), ca, gm);
-    registry.add(server.get());
-    (void)server->storage().put(
-        storage::FileObject::synthetic("climate-2gb.ncx", kFileSize));
-
-    security::CredentialWallet wallet;
-    wallet.set_identity(ca.issue("/O=Grid/CN=esg", 0, 1000 * kHour));
-    client = std::make_unique<gridftp::GridFtpClient>(
-        orb, *net.find_host("receiver.anl"),
-        std::make_shared<storage::HostStorage>(), std::move(wallet),
-        registry);
+    (void)add_server("sender.dcc", "dcc",
+                     scenario::HostRates{.nic = common::mbps(100),
+                                         .cpu = common::mbps(95),
+                                         .disk = common::mbps(90)})
+        .storage()
+        .put(storage::FileObject::synthetic("climate-2gb.ncx", kFileSize));
+    add_client("receiver.anl", "anl",
+               scenario::HostRates{.nic = common::mbps(100),
+                                   .cpu = common::mbps(95),
+                                   .disk = common::mbps(82)});
   }
 
   void start_next_transfer() {
@@ -113,7 +94,7 @@ struct Fig8World {
     const std::string local =
         "in/climate-2gb." + std::to_string(transfers_completed);
     gridftp::ReliableGet::start(
-        *client, {{"sender.dcc", "climate-2gb.ncx"}}, local, opts, rel,
+        client(), {{"sender.dcc", "climate-2gb.ncx"}}, local, opts, rel,
         [this, last](Bytes delta, Bytes, SimTime now) {
           sampler.record_interval(*last, now, delta);
           *last = now;

@@ -25,7 +25,6 @@ constexpr Bytes kFileSize = 300 * common::kMB;
 
 struct HrmWorld {
   bench::SimpleWorld base{common::mbps(622), 15 * kMillisecond};
-  std::unique_ptr<hrm::HrmService> hrm_service;
 
   HrmWorld() {
     hrm::HrmConfig cfg;
@@ -34,18 +33,17 @@ struct HrmWorld {
     cfg.tape.mount_time = 40 * kSecond;
     cfg.tape.avg_seek = 15 * kSecond;
     cfg.tape.read_rate = common::mbps(120);
-    hrm_service = std::make_unique<hrm::HrmService>(
-        base.orb, *base.server_host, base.server->storage_ptr(), cfg);
+    auto& hrm_service = base.add_hrm(base.server, cfg);
     for (int i = 0; i < kFiles; ++i) {
-      hrm_service->archive(storage::FileObject::synthetic(
+      hrm_service.archive(storage::FileObject::synthetic(
           "archive/f" + std::to_string(i), kFileSize));
     }
   }
 };
 
 double run_sequential(HrmWorld& world) {
-  hrm::HrmClient hrm_client(world.base.orb, *world.base.client_host,
-                            *world.base.server_host);
+  hrm::HrmClient hrm_client(world.base.orb, world.base.client.local_host(),
+                            world.base.server.host());
   const auto t0 = world.base.sim.now();
   for (int i = 0; i < kFiles; ++i) {
     const std::string name = "archive/f" + std::to_string(i);
@@ -62,8 +60,8 @@ double run_sequential(HrmWorld& world) {
 }
 
 double run_pipelined(HrmWorld& world) {
-  hrm::HrmClient hrm_client(world.base.orb, *world.base.client_host,
-                            *world.base.server_host);
+  hrm::HrmClient hrm_client(world.base.orb, world.base.client.local_host(),
+                            world.base.server.host());
   const auto t0 = world.base.sim.now();
   int completed = 0;
   // All stage requests issued up front (the RM's per-file workers); each
@@ -79,7 +77,7 @@ double run_pipelined(HrmWorld& world) {
       gridftp::TransferOptions opts;
       opts.buffer_size = 2 * common::kMiB;
       opts.parallelism = 2;
-      world.base.client->get(
+      world.base.client.get(
           {"server", name}, "pipelined/" + name, opts, nullptr,
           [&completed, &hrm_client, name](gridftp::TransferResult) {
             hrm_client.release(name, [](common::Status) {});
@@ -110,8 +108,8 @@ int main() {
     pipelined = run_pipelined(world);
     // Re-run against the warm cache: staging returns immediately and the
     // mass-storage system stays out of the path.
-    hrm::HrmClient hrm_client(world.base.orb, *world.base.client_host,
-                              *world.base.server_host);
+    hrm::HrmClient hrm_client(world.base.orb, world.base.client.local_host(),
+                              world.base.server.host());
     const auto t0 = world.base.sim.now();
     for (int i = 0; i < kFiles; ++i) {
       const std::string name = "archive/f" + std::to_string(i);
@@ -126,7 +124,7 @@ int main() {
     }
     cached = common::to_seconds(world.base.sim.now() - t0);
     std::printf("cache hits on the re-run: %llu of %d\n\n",
-                static_cast<unsigned long long>(world.hrm_service->cache_hits()),
+                static_cast<unsigned long long>(world.base.hrm().cache_hits()),
                 kFiles);
   }
 

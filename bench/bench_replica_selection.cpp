@@ -41,18 +41,16 @@ PolicyResult run_policy(Policy policy) {
 
   // Congestion: Abilene almost saturated, SDSC uplink heavily loaded,
   // LLNL clean.
-  auto* abilene = testbed.network().find_link("abilene");
-  testbed.network().fluid().set_background(abilene->backward(),
-                                           common::mbps(612));
-  auto* sdsc = testbed.network().find_link("sdsc-uplink");
-  testbed.network().fluid().set_background(sdsc->backward(),
-                                           common::mbps(500));
+  auto* abilene = testbed.net.find_link("abilene");
+  testbed.net.fluid().set_background(abilene->backward(), common::mbps(612));
+  auto* sdsc = testbed.net.find_link("sdsc-uplink");
+  testbed.net.fluid().set_background(sdsc->backward(), common::mbps(500));
   testbed.start_sensors(3);
 
   auto mds_client = testbed.make_mds_client();
   common::Rng rng(99);
 
-  const auto t0 = testbed.simulation().now();
+  const auto t0 = testbed.sim.now();
   metadata::DatasetInfo info;
   info.name = spec.name;
   info.start_month = spec.start_month;
@@ -75,7 +73,7 @@ PolicyResult run_policy(Policy policy) {
         bool answered = false;
         std::map<std::string, Rate> forecast;
         mds_client.query_paths_to(
-            testbed.client_host()->name(),
+            testbed.client().local_host().name(),
             [&](common::Result<std::vector<mds::NetworkRecord>> r) {
               if (r) {
                 for (const auto& rec : *r) {
@@ -104,13 +102,13 @@ PolicyResult run_policy(Policy policy) {
     opts.buffer_size = 2 * common::kMiB;
     opts.parallelism = 2;
     bool done = false;
-    testbed.ftp_client().get({host, spec.name + "/" + file},
-                             "bench/" + file, opts, nullptr,
-                             [&](gridftp::TransferResult) { done = true; });
+    testbed.client().get({host, spec.name + "/" + file}, "bench/" + file,
+                         opts, nullptr,
+                         [&](gridftp::TransferResult) { done = true; });
     testbed.run_until_flag(done);
   }
   result.makespan_seconds =
-      common::to_seconds(testbed.simulation().now() - t0);
+      common::to_seconds(testbed.sim.now() - t0);
   return result;
 }
 

@@ -80,35 +80,25 @@ int main() {
   for (int node_count : {1, 2, 4, 8}) {
     bench::SimpleWorld world(common::gbps(2.5), 8 * kMillisecond);
     // A beefier sink so the stripe nodes' CPUs stay the bottleneck.
-    world.net.fluid().set_capacity(world.client_host->nic(),
-                                   common::gbps(4));
-    world.net.fluid().set_capacity(world.client_host->cpu(),
-                                   common::gbps(4));
-    world.net.fluid().set_capacity(world.client_host->disk(),
-                                   common::gbps(4));
-    std::vector<std::unique_ptr<gridftp::GridFtpServer>> nodes;
-    std::vector<gridftp::GridFtpServer*> node_ptrs;
+    const net::Host& sink = world.client.local_host();
+    world.net.fluid().set_capacity(sink.nic(), common::gbps(4));
+    world.net.fluid().set_capacity(sink.cpu(), common::gbps(4));
+    world.net.fluid().set_capacity(sink.disk(), common::gbps(4));
+    std::vector<gridftp::GridFtpServer*> nodes;
     for (int i = 0; i < node_count; ++i) {
-      auto* h = world.net.add_host(
-          {.name = "vol" + std::to_string(i), .site = "src",
-           .nic_rate = common::gbps(1), .cpu_rate = common::mbps(450),
-           .disk_rate = common::mbps(700)});
-      security::GridMapFile gm;
-      gm.add("/O=Grid/CN=esg", "esg");
-      nodes.push_back(std::make_unique<gridftp::GridFtpServer>(
-          world.orb, *h, std::make_shared<storage::HostStorage>(), world.ca,
-          gm));
-      world.registry.add(nodes.back().get());
-      node_ptrs.push_back(nodes.back().get());
+      nodes.push_back(&world.add_server(
+          "vol" + std::to_string(i), "src",
+          scenario::HostRates{.cpu = common::mbps(450),
+                              .disk = common::mbps(700)}));
     }
-    gridftp::StripedVolume volume(world.orb, *world.server_host, node_ptrs);
+    gridftp::StripedVolume volume(world.orb, world.server.host(), nodes);
     (void)volume.store(storage::FileObject::synthetic("big", kTotal));
     gridftp::TransferOptions opts;
     opts.buffer_size = 2 * common::kMiB;
     opts.parallelism = 4;
     bool done = false;
     const auto t0 = world.sim.now();
-    gridftp::striped_volume_get(*world.client, *world.server_host, "big",
+    gridftp::striped_volume_get(world.client, world.server.host(), "big",
                                 "local", opts, {},
                                 [&](gridftp::StripedGetResult r) {
                                   done = r.status.ok();

@@ -35,9 +35,8 @@ Outcome run(bool subset, std::optional<std::pair<double, double>> lat_box) {
   spec.replica_hosts = {"sprite.llnl.gov", "pdsf.lbl.gov"};
   if (!testbed.publish_dataset(spec).ok()) return {};
   // A modest WAN share makes transfer time meaningful.
-  auto* nton = testbed.network().find_link("nton");
-  testbed.network().fluid().set_background(nton->backward(),
-                                           common::gbps(2.4));
+  auto* nton = testbed.net.find_link("nton");
+  testbed.net.fluid().set_background(nton->backward(), common::gbps(2.4));
   testbed.start_sensors(2);
 
   ::esg::esg::EsgClient client(testbed);
@@ -49,14 +48,14 @@ Outcome run(bool subset, std::optional<std::pair<double, double>> lat_box) {
   req.server_side_subset = subset;
   req.lat_box = lat_box;
 
-  const auto t0 = testbed.simulation().now();
+  const auto t0 = testbed.sim.now();
   auto result = client.analyze_blocking(req);
   if (!result.status.ok()) {
     std::printf("analysis failed: %s\n",
                 result.status.error().to_string().c_str());
     return {};
   }
-  return Outcome{common::to_seconds(testbed.simulation().now() - t0),
+  return Outcome{common::to_seconds(testbed.sim.now() - t0),
                  result.transfer.total_bytes};
 }
 

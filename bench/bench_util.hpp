@@ -1,19 +1,17 @@
 // Shared helpers for the reproduction benches: paper-vs-measured table
-// printing, series sparklines, and a minimal two-site GridFTP world used by
-// the ablation benches.
+// printing, series sparklines, BENCH_<name>.json output, and SimpleWorld,
+// the minimal two-site scenario::Grid the ablation benches run on.
 #pragma once
 
 #include <cstdio>
 #include <cstdlib>
-#include <memory>
 #include <string>
 #include <vector>
 
 #include "common/units.hpp"
-#include "gridftp/client.hpp"
 #include "obs/export.hpp"
 #include "obs/metrics.hpp"
-#include "sim/simulation.hpp"
+#include "scenario/grid.hpp"
 
 namespace esg::bench {
 
@@ -26,54 +24,25 @@ inline void require_seeded(const common::Status& seeding) {
   std::exit(1);
 }
 
-/// One GridFTP server at site "src", one client host at site "dst", a
-/// single WAN link between them.  Each bench tweaks rates/latency/loss.
-struct SimpleWorld {
-  sim::Simulation sim{7};
-  net::Network net{sim};
-  rpc::Orb orb{net};
-  security::CertificateAuthority ca{"/O=Grid/CN=ESG CA"};
-  gridftp::ServerRegistry registry;
-  net::Host* server_host = nullptr;
-  net::Host* client_host = nullptr;
-  net::Link* wan = nullptr;
-  std::unique_ptr<gridftp::GridFtpServer> server;
-  std::unique_ptr<gridftp::GridFtpClient> client;
+/// One GridFTP server "server" at site "src", one client host "client" at
+/// site "dst", a single WAN link "wan" between them, all on the grid-wide
+/// 1 Gb/s host rates.  Each bench tweaks rates/latency/loss.
+struct SimpleWorld : scenario::Grid {
+  net::Link& wan;
+  // The one server and client; they hide Grid's server(host) and client()
+  // lookups, which find the same two objects.
+  gridftp::GridFtpServer& server;
+  gridftp::GridFtpClient& client;
 
   SimpleWorld(common::Rate link_rate, common::SimDuration one_way_latency,
-              double loss = 0.0,
-              net::HostConfig host_template = {.name = "", .site = "",
-                                               .nic_rate = common::gbps(1),
-                                               .cpu_rate = common::gbps(1),
-                                               .disk_rate = common::gbps(1)}) {
-    net.add_site("src");
-    net.add_site("dst");
-    wan = net.add_link({.name = "wan", .site_a = "src", .site_b = "dst",
-                        .capacity = link_rate, .latency = one_way_latency,
-                        .loss = loss});
-    auto src_cfg = host_template;
-    src_cfg.name = "server";
-    src_cfg.site = "src";
-    server_host = net.add_host(src_cfg);
-    auto dst_cfg = host_template;
-    dst_cfg.name = "client";
-    dst_cfg.site = "dst";
-    client_host = net.add_host(dst_cfg);
-
-    security::GridMapFile gm;
-    gm.add("/O=Grid/CN=esg", "esg");
-    server = std::make_unique<gridftp::GridFtpServer>(
-        orb, *server_host, std::make_shared<storage::HostStorage>(), ca, gm);
-    registry.add(server.get());
-    security::CredentialWallet wallet;
-    wallet.set_identity(ca.issue("/O=Grid/CN=esg", 0, 1000 * common::kHour));
-    client = std::make_unique<gridftp::GridFtpClient>(
-        orb, *client_host, std::make_shared<storage::HostStorage>(),
-        std::move(wallet), registry);
-  }
+              double loss = 0.0)
+      : Grid(7),
+        wan(add_wan(link_rate, one_way_latency, loss)),
+        server(add_server("server", "src")),
+        client(add_client("client", "dst")) {}
 
   void add_file(const std::string& name, common::Bytes size) {
-    (void)server->storage().put(storage::FileObject::synthetic(name, size));
+    (void)server.storage().put(storage::FileObject::synthetic(name, size));
   }
 
   /// Fetch a file and return the elapsed simulated seconds (or -1 on error).
@@ -81,17 +50,26 @@ struct SimpleWorld {
     bool done = false;
     bool ok = false;
     const auto t0 = sim.now();
-    client->get({"server", name}, "local/" + name +
-                    std::to_string(fetch_seq_++), opts, nullptr,
-                [&](gridftp::TransferResult r) {
-                  ok = r.status.ok();
-                  done = true;
-                });
+    client.get({"server", name}, "local/" + name +
+                   std::to_string(fetch_seq_++), opts, nullptr,
+               [&](gridftp::TransferResult r) {
+                 ok = r.status.ok();
+                 done = true;
+               });
     sim.run_while_pending([&] { return done; });
     return ok ? common::to_seconds(sim.now() - t0) : -1.0;
   }
 
  private:
+  net::Link& add_wan(common::Rate link_rate, common::SimDuration latency,
+                     double loss) {
+    net.add_site("src");
+    net.add_site("dst");
+    return *net.add_link({.name = "wan", .site_a = "src", .site_b = "dst",
+                          .capacity = link_rate, .latency = latency,
+                          .loss = loss});
+  }
+
   std::uint64_t fetch_seq_ = 0;
 };
 
@@ -150,10 +128,12 @@ inline std::string telemetry_series_json(
     }
     if (!first_series) out += ",";
     first_series = false;
-    out += "\n    {\"name\":\"" + name + "\",\"labels\":{";
+    out += "\n    {\"name\":\"" + obs::json_escape(name) +
+           "\",\"labels\":{";
     for (std::size_t i = 0; i < labels.size(); ++i) {
       if (i) out += ",";
-      out += "\"" + labels[i].first + "\":\"" + labels[i].second + "\"";
+      out += "\"" + obs::json_escape(labels[i].first) + "\":\"" +
+             obs::json_escape(labels[i].second) + "\"";
     }
     out += "},\"points\":[";
     const auto points = s.coarse();
@@ -180,24 +160,13 @@ inline void write_bench_json(const std::string& name,
                              const obs::MetricsSnapshot& snapshot,
                              const std::string& series_json = "",
                              const std::string& profile_json = "") {
-  auto esc = [](const std::string& s) {
-    std::string out;
-    out.reserve(s.size());
-    for (char c : s) {
-      switch (c) {
-        case '"': out += "\\\""; break;
-        case '\\': out += "\\\\"; break;
-        case '\n': out += "\\n"; break;
-        default: out += c;
-      }
-    }
-    return out;
-  };
-  std::string out = "{\n  \"bench\": \"" + esc(name) + "\",\n  \"rows\": [";
+  std::string out = "{\n  \"bench\": \"" + obs::json_escape(name) +
+                    "\",\n  \"rows\": [";
   for (std::size_t i = 0; i < rows.size(); ++i) {
     out += i ? ",\n    " : "\n    ";
-    out += "{\"metric\":\"" + esc(rows[i].metric) + "\",\"paper\":\"" +
-           esc(rows[i].paper) + "\",\"measured\":\"" + esc(rows[i].measured) +
+    out += "{\"metric\":\"" + obs::json_escape(rows[i].metric) +
+           "\",\"paper\":\"" + obs::json_escape(rows[i].paper) +
+           "\",\"measured\":\"" + obs::json_escape(rows[i].measured) +
            "\"}";
   }
   out += "\n  ],\n  \"metrics\": " + obs::to_json(snapshot);

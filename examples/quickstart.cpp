@@ -21,7 +21,7 @@ int main() {
   ::esg::esg::EsgTestbed testbed;
   std::printf("testbed up: %zu data hosts, client at %s\n",
               testbed.data_hosts().size(),
-              testbed.client_host()->name().c_str());
+              testbed.client().local_host().name().c_str());
 
   // 2. Publish a dataset: 2 years of monthly output, 6-month chunk files,
   //    replicated at LLNL (primary) and LBNL.

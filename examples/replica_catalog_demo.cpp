@@ -40,7 +40,7 @@ void show_catalog(::esg::esg::EsgTestbed& testbed,
 int main() {
   std::printf("== replica catalog demo (Fig 6) ==\n\n");
   ::esg::esg::EsgTestbed testbed;
-  auto catalog = testbed.make_replica_catalog();
+  auto catalog = testbed.make_catalog();
 
   // Build the Figure 6 tree.
   int pending = 0;
@@ -76,16 +76,16 @@ int main() {
   catalog.register_location("CO2 measurements 1998", jupiter, step);
   ++pending;
   catalog.register_location("CO2 measurements 1998", sprite, step);
-  testbed.simulation().run_while_pending([&] { return pending == 0; });
+  testbed.sim.run_while_pending([&] { return pending == 0; });
 
   // Back the complete location with actual bytes.
-  auto* llnl = testbed.server("sprite.llnl.gov");
-  auto* isi = testbed.server("jupiter.isi.edu");
+  auto& llnl = testbed.server("sprite.llnl.gov");
+  auto& isi = testbed.server("jupiter.isi.edu");
   for (const auto& f : files) {
-    (void)llnl->storage().put(
+    (void)llnl.storage().put(
         storage::FileObject::synthetic("pcmdi/co2/1998/" + f, 25'000'000));
   }
-  (void)isi->storage().put(
+  (void)isi.storage().put(
       storage::FileObject::synthetic("data/co2/1998/jan.ncx", 25'000'000));
 
   std::printf("initial catalog state:\n");
@@ -108,7 +108,7 @@ int main() {
 
   // Complete the partial replica: third-party copies + registration.
   std::printf("\nreplicating missing files to jupiter-isi...\n");
-  replica::ReplicaManager manager(catalog, testbed.ftp_client());
+  replica::ReplicaManager manager(catalog, testbed.client());
   bool replicated = false;
   gridftp::TransferOptions opts;
   opts.parallelism = 2;

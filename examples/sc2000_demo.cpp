@@ -79,10 +79,11 @@ int main() {
   }
 
   std::printf("\nFig 4-style monitor at completion:\n%s",
-              testbed.monitor().render(testbed.simulation().now()).c_str());
+              testbed.monitor().render(testbed.sim.now()).c_str());
 
   // Observability artifacts: a Chrome/Perfetto trace of the whole run
-  // (rm -> gridftp -> net spans per file) and the metrics snapshot.
+  // (rm -> gridftp -> net spans per file, flight events such as each
+  // GridFTP attempt as markers on them) and the metrics snapshot.
   auto write_file = [](const char* path, const std::string& body) {
     if (std::FILE* f = std::fopen(path, "w")) {
       std::fwrite(body.data(), 1, body.size(), f);
@@ -91,10 +92,10 @@ int main() {
     }
   };
   write_file("sc2000_trace.json",
-             obs::to_chrome_trace(testbed.simulation().tracer()));
+             obs::to_chrome_trace(testbed.sim.tracer(),
+                                  testbed.sim.flight_recorder()));
   write_file("sc2000_metrics.json",
-             obs::to_json(testbed.simulation().metrics().snapshot(
-                 testbed.simulation().now())));
+             obs::to_json(testbed.sim.metrics().snapshot(testbed.sim.now())));
   std::printf(
       "open sc2000_trace.json in https://ui.perfetto.dev (or\n"
       "chrome://tracing) to see per-file rm/gridftp/net span nesting.\n");

@@ -39,12 +39,11 @@ int main() {
   }
   // Congest the coastal OC-48 toward Dallas so ISI is clearly the
   // preferred replica, then take ISI down mid-request to show failover.
-  auto* nton = testbed.network().find_link("nton");
-  testbed.network().fluid().set_background(nton->backward(),
-                                           common::gbps(2.35));
-  auto* isi_uplink = testbed.network().find_link("isi-uplink");
-  testbed.network().fluid().set_background(isi_uplink->backward(),
-                                           common::mbps(850));
+  auto* nton = testbed.net.find_link("nton");
+  testbed.net.fluid().set_background(nton->backward(), common::gbps(2.35));
+  auto* isi_uplink = testbed.net.find_link("isi-uplink");
+  testbed.net.fluid().set_background(isi_uplink->backward(),
+                                     common::mbps(850));
   testbed.start_sensors(2);
 
   // Six files, fetched concurrently by the request manager.
@@ -76,13 +75,13 @@ int main() {
   burn.threshold = 2.0;
   burn.long_window = 20 * kSecond;
   burn.short_window = 5 * kSecond;
-  testbed.simulation().alerts().add(burn);
+  testbed.sim.alerts().add(burn);
   obs::AnomalyRule cliff;
   cliff.name = "goodput-cliff";
   cliff.metric = "gridftp_channel_bytes_total";
   cliff.rate_window = 5 * kSecond;
-  testbed.simulation().alerts().add(cliff);
-  testbed.simulation().start_telemetry(kSecond);
+  testbed.sim.alerts().add(cliff);
+  testbed.sim.start_telemetry(kSecond);
 
   bool done = false;
   rm::RequestResult result;
@@ -92,35 +91,28 @@ int main() {
   });
 
   // Kill the preferred site mid-request; the reliability plugin reroutes.
-  testbed.simulation().schedule_at(
-      testbed.simulation().now() + 1 * kSecond, [&] {
-        std::printf("\n*** injecting outage: jupiter.isi.edu goes down ***\n");
-        testbed.network().set_host_down(
-            *testbed.network().find_host("jupiter.isi.edu"), true);
-      });
-  testbed.simulation().schedule_at(
-      testbed.simulation().now() + 30 * kSecond, [&] {
-        std::printf("\n*** jupiter.isi.edu restored ***\n");
-        testbed.network().set_host_down(
-            *testbed.network().find_host("jupiter.isi.edu"), false);
-      });
+  testbed.sim.schedule_at(testbed.sim.now() + 1 * kSecond, [&] {
+    std::printf("\n*** injecting outage: jupiter.isi.edu goes down ***\n");
+    testbed.net.set_host_down(*testbed.net.find_host("jupiter.isi.edu"), true);
+  });
+  testbed.sim.schedule_at(testbed.sim.now() + 30 * kSecond, [&] {
+    std::printf("\n*** jupiter.isi.edu restored ***\n");
+    testbed.net.set_host_down(*testbed.net.find_host("jupiter.isi.edu"),
+                              false);
+  });
 
   // Print a monitor frame every 4 simulated seconds until done.
   while (!done) {
-    const auto next = testbed.simulation().now() + 4 * kSecond;
-    testbed.simulation().run_while_pending(
-        [&] { return done || testbed.simulation().now() >= next; });
+    const auto next = testbed.sim.now() + 4 * kSecond;
+    testbed.sim.run_while_pending(
+        [&] { return done || testbed.sim.now() >= next; });
     // Render from a registry snapshot so the frame carries the live
     // queue-depth / cache / per-server byte counters (Fig 4 + metrics pane).
-    const auto snap = testbed.simulation().metrics().snapshot(
-        testbed.simulation().now());
+    const auto snap = testbed.sim.metrics().snapshot(testbed.sim.now());
     std::printf("\n%s",
-                testbed.monitor().render(testbed.simulation().now(),
-                                         snap).c_str());
-    std::printf("%s",
-                testbed.simulation().alerts().render(
-                    testbed.simulation().now()).c_str());
-    if (testbed.simulation().pending_events() == 0) break;
+                testbed.monitor().render(testbed.sim.now(), snap).c_str());
+    std::printf("%s", testbed.sim.alerts().render(testbed.sim.now()).c_str());
+    if (testbed.sim.pending_events() == 0) break;
   }
 
   std::printf("\n=== request complete ===\n");
@@ -138,7 +130,7 @@ int main() {
 
   // Prometheus-style dump of everything the run recorded.
   const std::string prom = obs::to_prometheus_text(
-      testbed.simulation().metrics().snapshot(testbed.simulation().now()));
+      testbed.sim.metrics().snapshot(testbed.sim.now()));
   if (std::FILE* f = std::fopen("transfer_monitor_metrics.prom", "w")) {
     std::fwrite(prom.data(), 1, prom.size(), f);
     std::fclose(f);

@@ -18,7 +18,7 @@ Result<climate::Field> EsgClient::assemble(const AnalysisRequest& request,
   bool first = true;
   // transfer.files preserves submission order == ascending month order.
   for (const auto& outcome : transfer.files) {
-    auto file = testbed_.ftp_client().local_storage().get(outcome.local_name);
+    auto file = testbed_.client().local_storage().get(outcome.local_name);
     if (!file) return file.error();
     if (!file->content) {
       return Error{Errc::internal,

@@ -10,133 +10,96 @@ using common::Status;
 using common::kMillisecond;
 using common::kSecond;
 
-EsgTestbed::EsgTestbed(TestbedConfig config) : config_(config) {
-  build_topology();
-  build_services();
-}
+namespace {
 
-void EsgTestbed::build_topology() {
+// Fig 7's hosts: interrupt-limited data servers with RAID-backed disks
+// (the grid-wide rates), the scientist's desktop, and the directory hosts.
+constexpr scenario::HostRates kDataServerRates{
+    .nic = common::gbps(1), .cpu = common::mbps(750),
+    .disk = common::mbps(500)};
+constexpr scenario::HostRates kDesktopRates{
+    .nic = common::gbps(1), .cpu = common::gbps(1),
+    .disk = common::mbps(800)};
+constexpr scenario::HostRates kDirectoryRates{
+    .nic = common::gbps(1), .cpu = common::mbps(700),
+    .disk = common::mbps(400)};
+
+}  // namespace
+
+// The simulation keeps seed 1; config.seed seeds the model and sensors.
+EsgTestbed::EsgTestbed(TestbedConfig config)
+    : Grid(1, kDataServerRates),
+      config_(config),
+      model_(climate::ModelConfig{config.grid, config.seed, 1995}) {
   for (const char* site :
        {"dcc", "la", "berkeley", "llnl", "isi", "sdsc", "anl", "ncar"}) {
-    net_.add_site(site);
+    net.add_site(site);
   }
   // SC'2000-era connectivity (Fig 7): HSCC Dallas->LA, NTON LA->Berkeley,
   // OC-12 spurs, Abilene to the midwest with light loss.
-  net_.add_link({.name = "hscc", .site_a = "dcc", .site_b = "la",
-                 .capacity = common::gbps(2.5),
-                 .latency = 10 * kMillisecond});
-  net_.add_link({.name = "nton", .site_a = "la", .site_b = "berkeley",
-                 .capacity = common::gbps(2.5), .latency = 8 * kMillisecond});
-  net_.add_link({.name = "isi-uplink", .site_a = "isi", .site_b = "la",
-                 .capacity = common::gbps(1), .latency = kMillisecond});
-  net_.add_link({.name = "sdsc-uplink", .site_a = "sdsc", .site_b = "la",
-                 .capacity = common::mbps(622), .latency = 3 * kMillisecond});
-  net_.add_link({.name = "llnl-uplink", .site_a = "llnl",
-                 .site_b = "berkeley", .capacity = common::mbps(622),
-                 .latency = 2 * kMillisecond});
+  net.add_link({.name = "hscc", .site_a = "dcc", .site_b = "la",
+                .capacity = common::gbps(2.5), .latency = 10 * kMillisecond});
+  net.add_link({.name = "nton", .site_a = "la", .site_b = "berkeley",
+                .capacity = common::gbps(2.5), .latency = 8 * kMillisecond});
+  net.add_link({.name = "isi-uplink", .site_a = "isi", .site_b = "la",
+                .capacity = common::gbps(1), .latency = kMillisecond});
+  net.add_link({.name = "sdsc-uplink", .site_a = "sdsc", .site_b = "la",
+                .capacity = common::mbps(622), .latency = 3 * kMillisecond});
+  net.add_link({.name = "llnl-uplink", .site_a = "llnl", .site_b = "berkeley",
+                .capacity = common::mbps(622), .latency = 2 * kMillisecond});
   // Loss on the Abilene path drives the parallel-stream benefit there.
-  net_.add_link({.name = "abilene", .site_a = "dcc", .site_b = "anl",
-                 .capacity = common::mbps(622), .latency = 25 * kMillisecond,
-                 .loss = 5e-5});
-  net_.add_link({.name = "anl-ncar", .site_a = "anl", .site_b = "ncar",
-                 .capacity = common::mbps(622), .latency = 15 * kMillisecond});
+  net.add_link({.name = "abilene", .site_a = "dcc", .site_b = "anl",
+                .capacity = common::mbps(622), .latency = 25 * kMillisecond,
+                .loss = 5e-5});
+  net.add_link({.name = "anl-ncar", .site_a = "anl", .site_b = "ncar",
+                .capacity = common::mbps(622), .latency = 15 * kMillisecond});
 
-  client_host_ = net_.add_host({.name = "vcdat.dcc.org", .site = "dcc",
-                                .nic_rate = common::gbps(1),
-                                .cpu_rate = common::gbps(1),
-                                .disk_rate = common::mbps(800)});
-  catalog_host_ = net_.add_host({.name = "ldap.mcs.anl.gov", .site = "anl"});
-  metadata_host_ = net_.add_host({.name = "cdms.llnl.gov", .site = "llnl"});
-  mds_host_ = net_.add_host({.name = "mds.isi.edu", .site = "isi"});
-}
-
-gridftp::GridFtpServer* EsgTestbed::add_data_server(
-    const std::string& host_name, const std::string& site) {
-  auto* host = net_.add_host({.name = host_name, .site = site,
-                              .nic_rate = common::gbps(1),
-                              .cpu_rate = common::mbps(750),
-                              .disk_rate = common::mbps(500)});
-  security::GridMapFile gridmap;
-  gridmap.add("/O=Grid/CN=esg-user", "esg");
-  auto server = std::make_unique<gridftp::GridFtpServer>(
-      orb_, *host, std::make_shared<storage::HostStorage>(), ca_,
-      std::move(gridmap));
-  // ESG-II server-side processing: extraction/subsetting local to the data
-  // (paper §9, future work — implemented here).
-  server->register_eret_module(
-      climate::kNcxSubsetModule,
-      [](const storage::FileObject& f, const std::string& p) {
-        return climate::ncx_subset_module(f, p);
-      });
-  auto* ptr = server.get();
-  registry_.add(ptr);
-  servers_[host_name] = std::move(server);
-  data_hosts_.push_back(host_name);
-  return ptr;
-}
-
-void EsgTestbed::build_services() {
-  add_data_server("pdsf.lbl.gov", "berkeley");
-  auto* clipper = add_data_server("clipper.lbl.gov", "berkeley");
-  add_data_server("sprite.llnl.gov", "llnl");
-  add_data_server("jupiter.isi.edu", "isi");
-  add_data_server("srb.sdsc.edu", "sdsc");
-  add_data_server("pitcairn.mcs.anl.gov", "anl");
-  add_data_server("dataportal.ncar.edu", "ncar");
-
-  catalog_backing_ = std::make_shared<directory::DirectoryServer>();
-  catalog_service_ = std::make_unique<directory::DirectoryService>(
-      orb_, *catalog_host_, catalog_backing_);
-  metadata_backing_ = std::make_shared<directory::DirectoryServer>();
+  // Hosts in this order: it fixes their fluid resource ids.
+  add_client("vcdat.dcc.org", "dcc", kDesktopRates);
+  add_catalog("ldap.mcs.anl.gov", "anl", kDirectoryRates);
+  metadata_host_ = net.add_host({.name = "cdms.llnl.gov", .site = "llnl",
+                                 .nic_rate = kDirectoryRates.nic,
+                                 .cpu_rate = kDirectoryRates.cpu,
+                                 .disk_rate = kDirectoryRates.disk});
   metadata_service_ = std::make_unique<directory::DirectoryService>(
-      orb_, *metadata_host_, metadata_backing_);
-  mds_service_ = std::make_unique<mds::MdsService>(orb_, *mds_host_);
+      orb, *metadata_host_, std::make_shared<directory::DirectoryServer>());
+  add_mds("mds.isi.edu", "isi", kDirectoryRates);
+  for (const auto& [host, site] :
+       {std::pair{"pdsf.lbl.gov", "berkeley"},
+        std::pair{"clipper.lbl.gov", "berkeley"},
+        std::pair{"sprite.llnl.gov", "llnl"},
+        std::pair{"jupiter.isi.edu", "isi"}, std::pair{"srb.sdsc.edu", "sdsc"},
+        std::pair{"pitcairn.mcs.anl.gov", "anl"},
+        std::pair{"dataportal.ncar.edu", "ncar"}}) {
+    // ESG-II server-side processing: extraction/subsetting local to the
+    // data (paper §9, future work — implemented here).
+    add_server(host, site).register_eret_module(
+        climate::kNcxSubsetModule,
+        [](const storage::FileObject& f, const std::string& p) {
+          return climate::ncx_subset_module(f, p);
+        });
+    data_hosts_.push_back(host);
+  }
+  add_hrm(server("clipper.lbl.gov"), config_.hrm);
 
-  hrm_ = std::make_unique<hrm::HrmService>(
-      orb_, clipper->host(), clipper->storage_ptr(), config_.hrm);
-
-  security::CredentialWallet wallet;
-  wallet.set_identity(
-      ca_.issue("/O=Grid/CN=esg-user", 0, 100000 * common::kHour));
-  ftp_client_ = std::make_unique<gridftp::GridFtpClient>(
-      orb_, *client_host_, std::make_shared<storage::HostStorage>(),
-      std::move(wallet), registry_);
-
-  monitor_.bind_registry(&sim_.metrics());
+  monitor_.bind_registry(&sim.metrics());
   rm_ = std::make_unique<rm::RequestManager>(
-      orb_, *client_host_, make_replica_catalog(), make_mds_client(),
-      *ftp_client_, &monitor_);
-
-  model_ = std::make_unique<climate::ClimateModel>(
-      climate::ModelConfig{config_.grid, config_.seed, 1995});
-}
-
-gridftp::GridFtpServer* EsgTestbed::server(const std::string& host_name) {
-  auto it = servers_.find(host_name);
-  return it == servers_.end() ? nullptr : it->second.get();
-}
-
-replica::ReplicaCatalog EsgTestbed::make_replica_catalog() {
-  return replica::ReplicaCatalog(
-      directory::DirectoryClient(orb_, *client_host_, *catalog_host_), "esg");
+      orb, client().local_host(), make_catalog(), make_mds_client(), client(),
+      &monitor_);
 }
 
 metadata::MetadataCatalog EsgTestbed::make_metadata_catalog() {
-  return metadata::MetadataCatalog(
-      directory::DirectoryClient(orb_, *client_host_, *metadata_host_));
-}
-
-mds::MdsClient EsgTestbed::make_mds_client() {
-  return mds::MdsClient(orb_, *client_host_, *mds_host_);
+  return metadata::MetadataCatalog(directory::DirectoryClient(
+      orb, client().local_host(), *metadata_host_));
 }
 
 bool EsgTestbed::run_until_flag(const bool& flag,
                                 common::SimDuration limit) {
-  const auto deadline = sim_.now() + limit;
-  while (!flag && sim_.now() < deadline && sim_.pending_events() > 0) {
-    sim_.run_while_pending([&] { return flag || sim_.now() >= deadline; });
+  const auto deadline = sim.now() + limit;
+  while (!flag && sim.now() < deadline && sim.pending_events() > 0) {
+    sim.run_while_pending([&] { return flag || sim.now() >= deadline; });
     if (flag) break;
-    if (sim_.pending_events() == 0) break;
+    if (sim.pending_events() == 0) break;
   }
   return flag;
 }
@@ -169,7 +132,7 @@ Status EsgTestbed::publish_dataset(const DatasetSpec& spec) {
     const int m0 = spec.start_month + c * spec.months_per_file;
     const int count = std::min(spec.months_per_file,
                                spec.start_month + spec.n_months - m0);
-    auto bytes = model_->write_chunk(m0, count);
+    auto bytes = model_.write_chunk(m0, count);
     const std::string filename = info.file_name(c);
     files.emplace_back(filename, static_cast<common::Bytes>(bytes->size()));
 
@@ -183,28 +146,27 @@ Status EsgTestbed::publish_dataset(const DatasetSpec& spec) {
       holders.push_back(spec.replica_hosts[(uc + 1) % n_hosts]);
     }
     for (const auto& host : holders) {
-      auto* srv = server(host);
-      if (srv == nullptr) {
+      const auto srv = servers().find(host);
+      if (srv == servers().end()) {
         return Error{Errc::not_found, "unknown replica host " + host};
       }
-      auto st = srv->storage().put(storage::FileObject::with_content(
+      auto st = srv->second->storage().put(storage::FileObject::with_content(
           collection + "/" + filename, bytes));
       if (!st.ok()) return st;
       files_at_host[host].push_back(filename);
     }
     if (spec.archive_on_tape) {
-      hrm_->archive(storage::FileObject::with_content(
+      hrm().archive(storage::FileObject::with_content(
           "archive/" + collection + "/" + filename, bytes));
     }
   }
 
   // Register in both catalogs.
-  auto rc = make_replica_catalog();
+  auto rc = make_catalog();
   auto mc = make_metadata_catalog();
   bool failed = false;
   Status failure = common::ok_status();
   int remaining = 0;
-  bool all_issued = false;
   auto step = [&](Status st) {
     if (!st.ok() && !failed) {
       failed = true;
@@ -244,11 +206,9 @@ Status EsgTestbed::publish_dataset(const DatasetSpec& spec) {
   }
   ++remaining;
   mc.publish_dataset(info, step);
-  all_issued = true;
-  (void)all_issued;
 
   // Drive the simulation until all registrations acknowledge.
-  sim_.run_while_pending([&] { return remaining == 0 || failed; });
+  sim.run_while_pending([&] { return remaining == 0 || failed; });
   if (failed) return failure;
   if (remaining != 0) {
     return Error{Errc::internal, "catalog registration stalled"};
@@ -260,14 +220,14 @@ void EsgTestbed::start_sensors(int rounds) {
   if (sensors_.empty()) {
     std::uint64_t seed = config_.seed;
     for (const auto& host_name : data_hosts_) {
-      auto* src = net_.find_host(host_name);
-      auto publisher = std::make_shared<mds::MdsClient>(orb_, *src, *mds_host_);
+      const net::Host& src = server(host_name).host();
+      auto publisher = std::make_shared<mds::MdsClient>(orb, src, mds_host());
       sensor_publishers_.push_back(publisher);
       nws::SensorConfig cfg;
       cfg.period = config_.sensor_period;
       cfg.seed = ++seed;
       sensors_.push_back(std::make_unique<nws::NwsSensor>(
-          net_, *src, *client_host_, cfg,
+          net, src, client().local_host(), cfg,
           [this, publisher](const std::string& s, const std::string& d,
                             common::Rate bw, common::SimDuration lat,
                             const nws::Measurement& m) {
@@ -276,14 +236,14 @@ void EsgTestbed::start_sensors(int rounds) {
             rec.dst_host = d;
             rec.bandwidth = bw;
             rec.latency = lat;
-            rec.updated = sim_.now();
+            rec.updated = sim.now();
             rec.probe_failed = m.probe_failed;
             publisher->publish_network(rec, [](Status) {});
           }));
     }
   }
   if (rounds > 0) {
-    sim_.run_until(sim_.now() + rounds * config_.sensor_period + kSecond);
+    sim.run_until(sim.now() + rounds * config_.sensor_period + kSecond);
   }
 }
 

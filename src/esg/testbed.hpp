@@ -17,26 +17,25 @@
 // area, NTON up the coast at OC-48, OC-12 spurs, and an Abilene path to
 // ANL/NCAR with light loss (the Fig 8 "commodity internet" flavor).
 //
-// The testbed wires every service of the prototype: GridFTP servers with
-// GSI, the replica catalog, the CDMS metadata catalog, MDS, NWS sensors
-// publishing into MDS, the HRM in front of a tape library, and the request
-// manager + Fig 4 monitor on the client host.
+// The testbed is a scenario::Grid, which owns the simulation, network, orb
+// and CA and builds the GridFTP servers and client (GSI), the replica
+// catalog, MDS and the HRM in front of a tape library.  What the testbed
+// adds is its own: Fig 7's sites, links and host rates, the ncx.subset ERET
+// module on every data server, the CDMS metadata catalog, NWS sensors
+// publishing into MDS, the request manager with its Fig 4 monitor on the
+// client host, and the climate model that generates the datasets.
 #pragma once
 
-#include <map>
 #include <memory>
 #include <string>
 #include <vector>
 
 #include "climate/model.hpp"
 #include "directory/service.hpp"
-#include "gridftp/client.hpp"
-#include "hrm/hrm.hpp"
-#include "mds/mds.hpp"
 #include "metadata/catalog.hpp"
 #include "nws/sensor.hpp"
-#include "replica/catalog.hpp"
 #include "rm/request_manager.hpp"
+#include "scenario/grid.hpp"
 
 namespace esg::esg {
 
@@ -75,26 +74,16 @@ struct DatasetSpec {
   bool archive_on_tape = false;
 };
 
-class EsgTestbed {
+class EsgTestbed : public scenario::Grid {
  public:
   explicit EsgTestbed(TestbedConfig config = {});
 
-  sim::Simulation& simulation() { return sim_; }
-  net::Network& network() { return net_; }
-  rpc::Orb& orb() { return orb_; }
-
-  net::Host* client_host() { return client_host_; }
-  gridftp::GridFtpClient& ftp_client() { return *ftp_client_; }
   rm::RequestManager& request_manager() { return *rm_; }
   rm::TransferMonitor& monitor() { return monitor_; }
-  hrm::HrmService& hrm() { return *hrm_; }
-  climate::ClimateModel& model() { return *model_; }
-  gridftp::GridFtpServer* server(const std::string& host_name);
+  climate::ClimateModel& model() { return model_; }
   const std::vector<std::string>& data_hosts() const { return data_hosts_; }
 
-  replica::ReplicaCatalog make_replica_catalog();
   metadata::MetadataCatalog make_metadata_catalog();
-  mds::MdsClient make_mds_client();
 
   /// Generate the dataset with the synthetic model, place content at the
   /// replica hosts, and register everything in both catalogs.  Drives the
@@ -111,35 +100,13 @@ class EsgTestbed {
                       common::SimDuration limit = 4 * common::kHour);
 
  private:
-  void build_topology();
-  void build_services();
-  gridftp::GridFtpServer* add_data_server(const std::string& host_name,
-                                          const std::string& site);
-
   TestbedConfig config_;
-  sim::Simulation sim_;
-  net::Network net_{sim_};
-  rpc::Orb orb_{net_};
-  security::CertificateAuthority ca_{"/O=Grid/CN=ESG CA"};
-  gridftp::ServerRegistry registry_;
-  rm::TransferMonitor monitor_;
-
-  net::Host* client_host_ = nullptr;
-  net::Host* catalog_host_ = nullptr;
-  net::Host* metadata_host_ = nullptr;
-  net::Host* mds_host_ = nullptr;
-
-  std::map<std::string, std::unique_ptr<gridftp::GridFtpServer>> servers_;
-  std::vector<std::string> data_hosts_;
-  std::shared_ptr<directory::DirectoryServer> catalog_backing_;
-  std::unique_ptr<directory::DirectoryService> catalog_service_;
-  std::shared_ptr<directory::DirectoryServer> metadata_backing_;
+  const net::Host* metadata_host_ = nullptr;
   std::unique_ptr<directory::DirectoryService> metadata_service_;
-  std::unique_ptr<mds::MdsService> mds_service_;
-  std::unique_ptr<hrm::HrmService> hrm_;
-  std::unique_ptr<gridftp::GridFtpClient> ftp_client_;
+  std::vector<std::string> data_hosts_;
+  rm::TransferMonitor monitor_;
   std::unique_ptr<rm::RequestManager> rm_;
-  std::unique_ptr<climate::ClimateModel> model_;
+  climate::ClimateModel model_;
   std::vector<std::unique_ptr<nws::NwsSensor>> sensors_;
   std::vector<std::shared_ptr<mds::MdsClient>> sensor_publishers_;
 };

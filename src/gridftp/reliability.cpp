@@ -67,11 +67,6 @@ void ReliableGet::attempt() {
 
   TransferOptions opts = options_;
   opts.restart_offset = offset_;
-  client_.simulation().tracer().instant(
-      "gridftp.attempt", "gridftp", options_.obs_track,
-      {{"replica", current_replica().host},
-       {"attempt", std::to_string(result_.attempts)},
-       {"restart_offset", std::to_string(offset_)}});
   client_.simulation().flight_recorder().record(
       "gridftp", "attempt.begin", local_name_,
       {{"host", current_replica().host},

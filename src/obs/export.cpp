@@ -99,7 +99,8 @@ std::string json_escape(std::string_view s) {
   return out;
 }
 
-std::string to_chrome_trace(const Tracer& tracer) {
+std::string to_chrome_trace(const Tracer& tracer,
+                            const FlightRecorder& recorder) {
   std::string out = "{\"traceEvents\":[";
   bool first = true;
   auto emit = [&out, &first](const std::string& event) {
@@ -136,24 +137,18 @@ std::string to_chrome_trace(const Tracer& tracer) {
     }
   });
 
-  for (const auto& rec : tracer.instants()) {
-    std::string ev = "{\"name\":\"" + json_escape(rec.name) + "\"";
-    if (!rec.category.empty()) {
-      ev += ",\"cat\":\"" + json_escape(rec.category) + "\"";
+  // Flight events are zero-duration markers on the track that emitted
+  // them (tid 0, "main", when none did).
+  for (const auto& event : recorder.events()) {
+    std::string ev = "{\"name\":\"" + json_escape(event.name) +
+                     "\",\"cat\":\"" + json_escape(event.category) + "\"";
+    ev += ",\"ph\":\"i\",\"s\":\"t\",\"ts\":" + fmt_micros(event.at) +
+          ",\"pid\":1,\"tid\":" + std::to_string(event.track);
+    ev += ",\"args\":{\"target\":\"" + json_escape(event.target) + "\"";
+    for (const auto& [k, v] : event.attrs) {
+      ev += ",\"" + json_escape(k) + "\":\"" + json_escape(v) + "\"";
     }
-    ev += ",\"ph\":\"i\",\"s\":\"t\",\"ts\":" + fmt_micros(rec.at) +
-          ",\"pid\":1,\"tid\":" + std::to_string(rec.track);
-    if (!rec.attrs.empty()) {
-      ev += ",\"args\":{";
-      bool first_attr = true;
-      for (const auto& [k, v] : rec.attrs) {
-        if (!first_attr) ev += ",";
-        first_attr = false;
-        ev += "\"" + json_escape(k) + "\":\"" + json_escape(v) + "\"";
-      }
-      ev += "}";
-    }
-    ev += "}";
+    ev += "}}";
     emit(ev);
   }
 

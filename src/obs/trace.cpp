@@ -93,22 +93,6 @@ void Tracer::set_attr(SpanId id, std::string key, std::string value) {
   records_[id - 1].attrs.emplace_back(std::move(key), std::move(value));
 }
 
-void Tracer::instant(std::string name, std::string category, TrackId track,
-                     std::vector<std::pair<std::string, std::string>> attrs) {
-  const common::SimTime now = clock_();
-  std::unique_lock lock(mu_);
-  if (instants_.size() >= max_spans_) {
-    const std::size_t total = ++dropped_;
-    const auto hook = drop_hook_;
-    lock.unlock();
-    if (hook) hook(total);
-    return;
-  }
-  instants_.push_back(InstantRecord{track, std::move(name),
-                                    std::move(category), now,
-                                    std::move(attrs)});
-}
-
 void Tracer::set_capacity(std::size_t max_spans) {
   std::scoped_lock lock(mu_);
   max_spans_ = max_spans;
@@ -122,11 +106,6 @@ void Tracer::set_drop_hook(std::function<void(std::size_t)> hook) {
 std::vector<SpanRecord> Tracer::spans() const {
   std::scoped_lock lock(mu_);
   return records_;
-}
-
-std::vector<InstantRecord> Tracer::instants() const {
-  std::scoped_lock lock(mu_);
-  return instants_;
 }
 
 std::map<TrackId, std::string> Tracer::tracks() const {

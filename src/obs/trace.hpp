@@ -62,14 +62,6 @@ struct SpanRecord {
   bool reads_clamped() const { return open() || clamped; }
 };
 
-struct InstantRecord {
-  TrackId track = 0;
-  std::string name;
-  std::string category;
-  common::SimTime at = 0;
-  std::vector<std::pair<std::string, std::string>> attrs;
-};
-
 class Tracer;
 
 /// Movable RAII handle; ends the span on destruction (once).
@@ -133,16 +125,12 @@ class Tracer {
   void end(SpanId id);
   void set_attr(SpanId id, std::string key, std::string value);
 
-  /// Zero-duration marker event.
-  void instant(std::string name, std::string category = {}, TrackId track = 0,
-               std::vector<std::pair<std::string, std::string>> attrs = {});
-
   /// Grow (or shrink) the span buffer.  Shrinking never discards already
   /// recorded spans; it only lowers the ceiling for new ones.
   void set_capacity(std::size_t max_spans);
 
-  /// Called (outside the tracer lock) whenever a span or instant is
-  /// dropped, with the running drop total — the simulation wires this to an
+  /// Called (outside the tracer lock) whenever a span is dropped, with
+  /// the running drop total — the simulation wires this to an
   /// `obs_trace_dropped` gauge so silent drops surface in every snapshot.
   void set_drop_hook(std::function<void(std::size_t)> hook);
 
@@ -158,7 +146,6 @@ class Tracer {
     std::scoped_lock lock(mu_);
     read(records_, at);
   }
-  std::vector<InstantRecord> instants() const;
   std::map<TrackId, std::string> tracks() const;
   std::size_t span_count() const;
   std::size_t dropped() const;
@@ -172,7 +159,6 @@ class Tracer {
 
   mutable std::mutex mu_;
   std::vector<SpanRecord> records_;             // id = index + 1
-  std::vector<InstantRecord> instants_;
   std::map<TrackId, std::string> track_names_;  // includes 0 ("main")
   // Per-track open-span stack; a track with no open span has no entry.
   std::map<TrackId, std::vector<SpanId>> open_;

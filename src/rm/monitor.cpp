@@ -30,23 +30,15 @@ void TransferMonitor::append_log(SimTime now, const std::string& line) {
   }
 }
 
-void TransferMonitor::count_event(const char* event,
-                                  const std::string& file,
-                                  const std::string& detail) {
+void TransferMonitor::count_event(const char* event) {
   if (registry_ != nullptr) {
     registry_->counter("monitor_events_total", {{"event", event}}).add();
-  }
-  if (recorder_ != nullptr) {
-    std::vector<std::pair<std::string, std::string>> attrs;
-    if (!detail.empty()) attrs.emplace_back("detail", detail);
-    recorder_->record("monitor", std::string("monitor.") + event, file,
-                      std::move(attrs));
   }
 }
 
 void TransferMonitor::file_queued(const std::string& file, Bytes total_size,
                                   SimTime now) {
-  count_event("file_queued", file);
+  count_event("file_queued");
   auto& st = files_[file];
   st.total = total_size;
   st.order = next_order_++;
@@ -57,7 +49,7 @@ void TransferMonitor::file_queued(const std::string& file, Bytes total_size,
 void TransferMonitor::replica_selected(const std::string& file,
                                        const std::string& host,
                                        Rate forecast_bandwidth, SimTime now) {
-  count_event("replica_selected", file, host);
+  count_event("replica_selected");
   auto& st = files_[file];
   st.replica_host = host;
   st.forecast = forecast_bandwidth;
@@ -68,14 +60,14 @@ void TransferMonitor::replica_selected(const std::string& file,
 
 void TransferMonitor::staging_started(const std::string& file,
                                       const std::string& host, SimTime now) {
-  count_event("staging_started", file, host);
+  count_event("staging_started");
   files_[file].phase = FileState::Phase::staging;
   append_log(now, "HRM staging " + file + " from tape at " + host);
 }
 
 void TransferMonitor::transfer_started(const std::string& file,
                                        const std::string& host, SimTime now) {
-  count_event("transfer_started", file, host);
+  count_event("transfer_started");
   files_[file].phase = FileState::Phase::transferring;
   append_log(now, "gridftp transfer of " + file + " from " + host +
                       " started");
@@ -90,14 +82,14 @@ void TransferMonitor::progress(const std::string& file, Bytes current_size,
 void TransferMonitor::replica_switched(const std::string& file,
                                        const std::string& new_host,
                                        SimTime now) {
-  count_event("replica_switched", file, new_host);
+  count_event("replica_switched");
   files_[file].replica_host = new_host;
   append_log(now, "switched " + file + " to alternate replica at " + new_host);
 }
 
 void TransferMonitor::transfer_complete(const std::string& file, Bytes size,
                                         SimTime now) {
-  count_event("transfer_complete", file);
+  count_event("transfer_complete");
   auto& st = files_[file];
   st.phase = FileState::Phase::complete;
   st.current = size;
@@ -107,7 +99,7 @@ void TransferMonitor::transfer_complete(const std::string& file, Bytes size,
 
 void TransferMonitor::transfer_failed(const std::string& file,
                                       const std::string& reason, SimTime now) {
-  count_event("transfer_failed", file, reason);
+  count_event("transfer_failed");
   auto& st = files_[file];
   st.phase = FileState::Phase::failed;
   st.failure = reason;

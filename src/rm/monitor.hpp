@@ -19,7 +19,6 @@
 
 #include "common/units.hpp"
 #include "obs/metrics.hpp"
-#include "obs/recorder.hpp"
 
 namespace esg::rm {
 
@@ -33,11 +32,6 @@ class TransferMonitor {
   /// also enables the metrics pane of the snapshot render() overload.
   /// Pass nullptr to detach.  The registry must outlive the monitor.
   void bind_registry(obs::MetricsRegistry* registry) { registry_ = registry; }
-
-  /// Mirror monitor events into a flight recorder (category "monitor") so a
-  /// postmortem timeline also shows the client-side view of the transfer.
-  /// Pass nullptr to detach.  The recorder must outlive the monitor.
-  void bind_recorder(obs::FlightRecorder* recorder) { recorder_ = recorder; }
 
   // ---- events from the request manager ----
   void file_queued(const std::string& file, Bytes total_size, SimTime now);
@@ -85,15 +79,13 @@ class TransferMonitor {
   };
 
   void append_log(SimTime now, const std::string& line);
-  void count_event(const char* event, const std::string& file = {},
-                   const std::string& detail = {});
+  void count_event(const char* event);
 
   std::map<std::string, FileState> files_;
   std::deque<std::string> log_;
   int next_order_ = 0;
   std::size_t dropped_lines_ = 0;
   obs::MetricsRegistry* registry_ = nullptr;
-  obs::FlightRecorder* recorder_ = nullptr;
   static constexpr std::size_t kMaxLogLines = 200;
 };
 

@@ -14,25 +14,29 @@ constexpr const char* kUserDn = "/O=Grid/CN=esg-user";
 Grid::Grid(std::uint64_t seed, HostRates rates)
     : sim{seed}, rates_(rates), ca_("/O=Grid/CN=ESG CA") {}
 
-net::Host& Grid::add_host(const std::string& name, const std::string& site) {
-  return *net.add_host({.name = name, .site = site, .nic_rate = rates_.nic,
-                        .cpu_rate = rates_.cpu, .disk_rate = rates_.disk});
+net::Host& Grid::add_host(const std::string& name, const std::string& site,
+                          const std::optional<HostRates>& rates) {
+  const HostRates r = rates.value_or(rates_);
+  return *net.add_host({.name = name, .site = site, .nic_rate = r.nic,
+                        .cpu_rate = r.cpu, .disk_rate = r.disk});
 }
 
 gridftp::GridFtpServer& Grid::add_server(const std::string& host,
-                                         const std::string& site) {
+                                         const std::string& site,
+                                         std::optional<HostRates> rates) {
   security::GridMapFile gridmap;
   gridmap.add(kUserDn, "esg");
   auto server = std::make_unique<gridftp::GridFtpServer>(
-      orb, add_host(host, site), std::make_shared<storage::HostStorage>(),
-      ca_, std::move(gridmap));
+      orb, add_host(host, site, rates),
+      std::make_shared<storage::HostStorage>(), ca_, std::move(gridmap));
   registry_.add(server.get());
   return *(servers_[host] = std::move(server));
 }
 
 gridftp::GridFtpClient& Grid::add_client(const std::string& host,
-                                         const std::string& site) {
-  net::Host& local = add_host(host, site);
+                                         const std::string& site,
+                                         std::optional<HostRates> rates) {
+  net::Host& local = add_host(host, site, rates);
   security::CredentialWallet wallet;
   wallet.set_identity(ca_.issue(kUserDn, 0, 1000 * common::kHour));
   clients_.push_back(std::make_unique<gridftp::GridFtpClient>(
@@ -49,11 +53,18 @@ hrm::HrmService& Grid::add_hrm(gridftp::GridFtpServer& server,
   return *hrm_;
 }
 
-void Grid::add_catalog_and_mds(const std::string& site) {
-  catalog_host_ = &add_host("catalog.host", site);
-  mds_host_ = &add_host("mds.host", site);
+void Grid::add_catalog(const std::string& host, const std::string& site,
+                       std::optional<HostRates> rates) {
+  assert(!catalog_service_ && "a grid has at most one replica catalog");
+  catalog_host_ = &add_host(host, site, rates);
   catalog_service_ = std::make_unique<directory::DirectoryService>(
       orb, *catalog_host_, std::make_shared<directory::DirectoryServer>());
+}
+
+void Grid::add_mds(const std::string& host, const std::string& site,
+                   std::optional<HostRates> rates) {
+  assert(!mds_service_ && "a grid has at most one MDS");
+  mds_host_ = &add_host(host, site, rates);
   mds_service_ = std::make_unique<mds::MdsService>(orb, *mds_host_);
 }
 

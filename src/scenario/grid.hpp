@@ -48,7 +48,8 @@ struct Publication {
   std::vector<mds::NetworkRecord> network;
 };
 
-/// The NIC, CPU and disk rates every host of a grid gets.
+/// The NIC, CPU and disk rates of a host: the grid-wide ones every host
+/// gets unless its host-adding call overrides them.
 struct HostRates {
   common::Rate nic = common::gbps(1);
   common::Rate cpu = common::gbps(1);
@@ -68,18 +69,23 @@ class Grid {
 
   /// A host running a GridFTP server that maps the grid user to "esg".
   gridftp::GridFtpServer& add_server(const std::string& host,
-                                     const std::string& site);
+                                     const std::string& site,
+                                     std::optional<HostRates> rates = {});
   /// A host running a GridFTP client whose wallet holds the grid user's
   /// certificate.  The first client added is the one client() returns.
   gridftp::GridFtpClient& add_client(const std::string& host,
-                                     const std::string& site);
+                                     const std::string& site,
+                                     std::optional<HostRates> rates = {});
   /// An HRM fronting a tape library, serving staged files through
   /// `server`'s storage.  A grid has at most one.
   hrm::HrmService& add_hrm(gridftp::GridFtpServer& server,
                            const hrm::HrmConfig& config);
-  /// The replica catalog and the MDS, on hosts "catalog.host" and
-  /// "mds.host" at `site`.
-  void add_catalog_and_mds(const std::string& site);
+  /// A host serving the replica catalog.  A grid has at most one.
+  void add_catalog(const std::string& host, const std::string& site,
+                   std::optional<HostRates> rates = {});
+  /// A host serving the MDS.  A grid has at most one.
+  void add_mds(const std::string& host, const std::string& site,
+               std::optional<HostRates> rates = {});
 
   /// Seed `publication`: create the catalog (first call only) and the
   /// collection, register the logical files, put or archive each
@@ -121,7 +127,8 @@ class Grid {
   mds::MdsClient make_mds_client();
 
  private:
-  net::Host& add_host(const std::string& name, const std::string& site);
+  net::Host& add_host(const std::string& name, const std::string& site,
+                      const std::optional<HostRates>& rates);
   void record(common::Status status);
 
   HostRates rates_;

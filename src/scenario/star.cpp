@@ -19,7 +19,8 @@ EsgStar::EsgStar(std::uint64_t seed, const storage::TapeConfig& tape)
                 .capacity = common::mbps(150),
                 .latency = 5 * common::kMillisecond});
   add_client("client", "client-site");
-  add_catalog_and_mds("lbnl");
+  add_catalog("catalog.host", "lbnl");
+  add_mds("mds.host", "lbnl");
   add_server("lbnl.host", "lbnl");
   add_server("isi.host", "isi");
   add_hrm(add_server("hpss.lbl.gov", "lbnl"), {.tape = tape});
@@ -91,8 +92,10 @@ UniformStar::UniformStar(const std::vector<std::string>& server_sites,
                   .capacity = link_rate, .latency = kUplinkLatency});
     add_server(site + ".host", site);
   }
-  add_catalog_and_mds(server_sites.empty() ? "client-site"
-                                           : server_sites.front());
+  const std::string catalog_site =
+      server_sites.empty() ? "client-site" : server_sites.front();
+  add_catalog("catalog.host", catalog_site);
+  add_mds("mds.host", catalog_site);
 }
 
 }  // namespace esg::scenario

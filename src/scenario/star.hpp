@@ -21,9 +21,9 @@ inline constexpr const char* kEsgStarTopology =
     "star: client-site/hub/lbnl/isi, 3 uplinks";
 
 /// client-site, lbnl and isi around "hub" (uplinks of 200, 150 and
-/// 150 Mb/s); the client "client"; the catalog and MDS at lbnl; GridFTP
-/// servers lbnl.host, isi.host and hpss.lbl.gov, the last fronted by an
-/// HRM whose tape library is `tape`.
+/// 150 Mb/s); the client "client"; the catalog and MDS on catalog.host and
+/// mds.host at lbnl; GridFTP servers lbnl.host, isi.host and hpss.lbl.gov,
+/// the last fronted by an HRM whose tape library is `tape`.
 class EsgStar : public Grid {
  public:
   EsgStar(std::uint64_t seed, const storage::TapeConfig& tape);
@@ -44,8 +44,8 @@ obs::BurnRateRule gridftp_failure_burn();
 
 /// "client-site" plus one site per entry of `server_sites`, each with a
 /// GridFTP server "<site>.host", around "hub" on uplinks of `link_rate`
-/// and 5 ms; the client "client"; the catalog and MDS at the first server
-/// site (the client site when there is none).
+/// and 5 ms; the client "client"; the catalog and MDS on catalog.host and
+/// mds.host at the first server site (the client site when there is none).
 class UniformStar : public Grid {
  public:
   explicit UniformStar(

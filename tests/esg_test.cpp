@@ -4,6 +4,8 @@
 // rendering.
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <iterator>
 #include <set>
 
 #include "climate/render.hpp"
@@ -40,11 +42,46 @@ ee::DatasetSpec small_dataset() {
 
 TEST(EsgTestbed, TopologyIsConnected) {
   ee::EsgTestbed testbed(small_config());
-  auto* client = testbed.client_host();
+  const auto& client = testbed.client().local_host();
   for (const auto& host_name : testbed.data_hosts()) {
-    auto* host = testbed.network().find_host(host_name);
+    auto* host = testbed.net.find_host(host_name);
     ASSERT_NE(host, nullptr) << host_name;
-    EXPECT_TRUE(testbed.network().path(*host, *client).up) << host_name;
+    EXPECT_TRUE(testbed.net.path(*host, client).up) << host_name;
+  }
+}
+
+TEST(EsgTestbed, HostsCarryFig7RatesInCreationOrder) {
+  ee::EsgTestbed testbed(small_config());
+  struct Expected {
+    const char* host;
+    double nic_mbps, cpu_mbps, disk_mbps;
+  };
+  // Creation order fixes the fluid resource ids: the desktop, the replica
+  // catalog, CDMS and MDS hosts, then the seven data servers.
+  const Expected expected[] = {
+      {"vcdat.dcc.org", 1000, 1000, 800},
+      {"ldap.mcs.anl.gov", 1000, 700, 400},
+      {"cdms.llnl.gov", 1000, 700, 400},
+      {"mds.isi.edu", 1000, 700, 400},
+      {"pdsf.lbl.gov", 1000, 750, 500},
+      {"clipper.lbl.gov", 1000, 750, 500},
+      {"sprite.llnl.gov", 1000, 750, 500},
+      {"jupiter.isi.edu", 1000, 750, 500},
+      {"srb.sdsc.edu", 1000, 750, 500},
+      {"pitcairn.mcs.anl.gov", 1000, 750, 500},
+      {"dataportal.ncar.edu", 1000, 750, 500},
+  };
+  EXPECT_EQ(testbed.net.host_names().size(), std::size(expected));
+  std::int64_t previous_nic = -1;
+  for (const auto& e : expected) {
+    const auto* host = testbed.net.find_host(e.host);
+    ASSERT_NE(host, nullptr) << e.host;
+    EXPECT_EQ(host->nic()->nominal_capacity(), ec::mbps(e.nic_mbps)) << e.host;
+    EXPECT_EQ(host->cpu()->nominal_capacity(), ec::mbps(e.cpu_mbps)) << e.host;
+    EXPECT_EQ(host->disk()->nominal_capacity(), ec::mbps(e.disk_mbps))
+        << e.host;
+    EXPECT_GT(host->nic()->id(), previous_nic) << e.host;
+    previous_nic = host->nic()->id();
   }
 }
 
@@ -52,7 +89,7 @@ TEST(EsgTestbed, PublishRegistersBothCatalogs) {
   ee::EsgTestbed testbed(small_config());
   ASSERT_TRUE(testbed.publish_dataset(small_dataset()).ok());
 
-  auto rc = testbed.make_replica_catalog();
+  auto rc = testbed.make_catalog();
   bool locations_ok = false;
   rc.list_locations("pcmdi-ocean-r1",
                     [&](ec::Result<std::vector<esg::replica::LocationInfo>> r) {
@@ -74,6 +111,18 @@ TEST(EsgTestbed, PublishRegistersBothCatalogs) {
                     });
   testbed.run_until_flag(dataset_ok);
   EXPECT_TRUE(dataset_ok);
+}
+
+TEST(EsgTestbed, PublishRejectsAReplicaHostWithoutAServer) {
+  // The catalog host is on the network but runs no GridFTP server.
+  for (const char* host : {"ldap.mcs.anl.gov", "nowhere.example.org"}) {
+    ee::EsgTestbed testbed(small_config());
+    ee::DatasetSpec spec = small_dataset();
+    spec.replica_hosts = {"sprite.llnl.gov", host};
+    const auto st = testbed.publish_dataset(spec);
+    ASSERT_FALSE(st.ok()) << host;
+    EXPECT_EQ(st.error().code, ec::Errc::not_found) << host;
+  }
 }
 
 TEST(EsgEndToEnd, AnalyzeFetchesAndAveragesTemperature) {
@@ -128,9 +177,8 @@ TEST(EsgEndToEnd, ReplicaSelectionPrefersFastSite) {
   ee::EsgTestbed testbed(small_config());
   ASSERT_TRUE(testbed.publish_dataset(small_dataset()).ok());
   // Congest the Abilene path so ANL forecasts poorly.
-  auto* abilene = testbed.network().find_link("abilene");
-  testbed.network().fluid().set_background(abilene->backward(),
-                                           ec::mbps(550));
+  auto* abilene = testbed.net.find_link("abilene");
+  testbed.net.fluid().set_background(abilene->backward(), ec::mbps(550));
   testbed.start_sensors(4);
 
   ee::EsgClient client(testbed);
@@ -157,18 +205,17 @@ TEST(EsgEndToEnd, TapeOnlyDatasetStagesThroughHrm) {
   // Make the only *disk* copy disappear: publish with tape location only by
   // removing clipper's disk files after publication.
   ASSERT_TRUE(testbed.publish_dataset(spec).ok());
-  auto* clipper = testbed.server("clipper.lbl.gov");
-  for (const auto& name : clipper->storage().list()) {
+  auto& clipper = testbed.server("clipper.lbl.gov");
+  for (const auto& name : clipper.storage().list()) {
     if (name.rfind("deep-archive-r1/", 0) == 0) {
-      ASSERT_TRUE(clipper->storage().remove(name).ok());
+      ASSERT_TRUE(clipper.storage().remove(name).ok());
     }
   }
   // Also remove the disk location from the catalog so only "mss" remains.
-  auto rc = testbed.make_replica_catalog();
+  auto rc = testbed.make_catalog();
   bool removed = false;
-  esg::directory::DirectoryClient dc(testbed.orb(), *testbed.client_host(),
-                                     *testbed.network().find_host(
-                                         "ldap.mcs.anl.gov"));
+  esg::directory::DirectoryClient dc(testbed.orb, testbed.client().local_host(),
+                                     testbed.catalog_host());
   dc.remove(rc.collection_dn("deep-archive-r1").child("loc",
                                                       "clipper.lbl.gov"),
             false, [&](ec::Status st) {
@@ -204,7 +251,7 @@ TEST(EsgEndToEnd, ScatteredLayoutDrawsFromMultipleSites) {
   ASSERT_TRUE(testbed.publish_dataset(spec).ok());
 
   // Every location is partial: two chunks per host.
-  auto rc = testbed.make_replica_catalog();
+  auto rc = testbed.make_catalog();
   bool checked = false;
   rc.list_locations("scattered-ds",
                     [&](ec::Result<std::vector<esg::replica::LocationInfo>> r) {
@@ -256,7 +303,7 @@ TEST(EsgEndToEnd, MonitorTellsTheFig4Story) {
   EXPECT_TRUE(testbed.monitor().all_terminal());
   EXPECT_EQ(testbed.monitor().files_complete(), 2u);
   const std::string frame =
-      testbed.monitor().render(testbed.simulation().now());
+      testbed.monitor().render(testbed.sim.now());
   EXPECT_NE(frame.find("pcmdi-ocean-r1.36-42.ncx"), std::string::npos);
   EXPECT_NE(frame.find("(done)"), std::string::npos);
 }
@@ -294,11 +341,11 @@ TEST(EsgEndToEnd, SecondAnalysisReusesWarmChannels) {
   req.month_end = 42;
   auto first = client.analyze_blocking(req);
   ASSERT_TRUE(first.status.ok());
-  const auto auths_after_first = testbed.ftp_client().stats().auth_handshakes;
+  const auto auths_after_first = testbed.client().stats().auth_handshakes;
   req.variable = "precipitation";  // same files? same chunk files, yes
   auto second = client.analyze_blocking(req);
   ASSERT_TRUE(second.status.ok());
   // The second round may re-fetch the file but must not re-authenticate if
   // it talks to the same server within the idle window.
-  EXPECT_EQ(testbed.ftp_client().stats().auth_handshakes, auths_after_first);
+  EXPECT_EQ(testbed.client().stats().auth_handshakes, auths_after_first);
 }

@@ -321,25 +321,41 @@ TEST(Tracer, DropsNewestWhenFullAndCounts) {
 TEST(Tracer, ChromeTraceIsWellFormed) {
   ec::SimTime now = 1500;
   eo::Tracer tracer([&now] { return now; });
+  eo::FlightRecorder recorder([&now] { return now; });
   const auto track = tracer.new_track("worker");
   auto sp = tracer.span("op \"quoted\"", "cat", track);
   sp.set_attr("key", "va\"lue");
-  tracer.instant("marker", "cat", track, {{"attempt", "1"}});
+  recorder.record("gridftp", "attempt.begin", "f.ncx", {{"attempt", "1"}},
+                  track);
   now = 2500;
   sp.end();
   auto open = tracer.span("still-open", "cat", track);
 
-  const std::string json = eo::to_chrome_trace(tracer);
+  const std::string json = eo::to_chrome_trace(tracer, recorder);
   expect_balanced_json(json);
   EXPECT_NE(json.find("\"traceEvents\""), std::string::npos);
   EXPECT_NE(json.find("thread_name"), std::string::npos);
   EXPECT_NE(json.find("\"ph\":\"X\""), std::string::npos);
-  EXPECT_NE(json.find("\"ph\":\"i\""), std::string::npos);
   // ts is 1500 ns -> 1.500 us.
   EXPECT_NE(json.find("\"ts\":1.500"), std::string::npos);
   EXPECT_NE(json.find("va\\\"lue"), std::string::npos);
   // The still-open span is clamped at the capture clock and marked.
   EXPECT_NE(json.find("\"clamped\":\"true\""), std::string::npos);
+
+  // The flight event is an instant marker on the span's track, one event
+  // per line, carrying its target and attributes.
+  const std::size_t marker = json.find("\"ph\":\"i\"");
+  ASSERT_NE(marker, std::string::npos);
+  const std::size_t begin = json.rfind('\n', marker);
+  const std::string line = json.substr(begin, json.find('\n', marker) - begin);
+  EXPECT_NE(line.find("\"name\":\"attempt.begin\",\"cat\":\"gridftp\""),
+            std::string::npos);
+  EXPECT_NE(line.find("\"ts\":1.500"), std::string::npos);
+  EXPECT_NE(line.find("\"tid\":" + std::to_string(track) + ","),
+            std::string::npos);
+  EXPECT_NE(line.find("\"target\":\"f.ncx\",\"attempt\":\"1\""),
+            std::string::npos);
+  EXPECT_EQ(json.find("\"ph\":\"i\"", marker + 1), std::string::npos);
 }
 
 TEST(Tracer, ReadersClampOpenSpansAtCaptureClock) {
@@ -356,7 +372,7 @@ TEST(Tracer, ReadersClampOpenSpansAtCaptureClock) {
 
   // The Chrome trace: the open span lasts to the capture clock, 150 ns
   // from its start at 200, and carries the flag; the finished one not.
-  const std::string json = eo::to_chrome_trace(tracer);
+  const std::string json = eo::to_chrome_trace(tracer, recorder);
   const auto event_of = [&json](const std::string& file) {
     const std::size_t at = json.find("\"file\":\"" + file + "\"");
     if (at == std::string::npos) return std::string();
@@ -648,11 +664,11 @@ ScenarioResult run_scenario() {
   testbed.stop_sensors();
 
   ScenarioResult out;
-  out.snapshot = testbed.simulation().metrics().snapshot(
-      testbed.simulation().now());
+  out.snapshot = testbed.sim.metrics().snapshot(testbed.sim.now());
   out.metrics_json = eo::to_json(out.snapshot);
-  out.trace_json = eo::to_chrome_trace(testbed.simulation().tracer());
-  out.spans = testbed.simulation().tracer().spans();
+  out.trace_json =
+      eo::to_chrome_trace(testbed.sim.tracer(), testbed.sim.flight_recorder());
+  out.spans = testbed.sim.tracer().spans();
   return out;
 }
 

@@ -293,7 +293,7 @@ std::string run_testbed_fingerprint() {
   auto result = client.analyze_blocking(req);
   if (!result.status.ok()) return "analysis-failed";
   std::string fp;
-  fp += std::to_string(testbed.simulation().now());
+  fp += std::to_string(testbed.sim.now());
   fp += "|" + std::to_string(result.transfer.total_bytes);
   for (const auto& f : result.transfer.files) {
     fp += "|" + f.chosen_host + ":" + std::to_string(f.finished);
@@ -303,6 +303,14 @@ std::string run_testbed_fingerprint() {
 }
 
 }  // namespace
+
+// The testbed's full run, pinned: its host rates, host creation order and
+// RPC order all feed this string.
+TEST(Determinism, TestbedRunMatchesItsPinnedFingerprint) {
+  EXPECT_EQ(run_testbed_fingerprint(),
+            "61564412718|95436|pdsf.lbl.gov:61564412718|"
+            "pdsf.lbl.gov:61564412718|-2.226736");
+}
 
 TEST(Determinism, IdenticalTestbedsProduceIdenticalRuns) {
   const std::string a = run_testbed_fingerprint();

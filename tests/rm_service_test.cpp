@@ -23,8 +23,8 @@ struct ServiceWorld {
     // Expose the RM (which runs on the client/desktop host) over RPC, and
     // add a separate "CDAT" host at LLNL that calls it remotely.
     service = std::make_unique<erm::RequestManagerService>(
-        testbed.orb(), testbed.request_manager());
-    cdat_host = testbed.network().add_host(
+        testbed.orb, testbed.request_manager());
+    cdat_host = testbed.net.add_host(
         {.name = "cdat.llnl.gov", .site = "llnl"});
     ee::DatasetSpec spec;
     spec.name = "remote-ds";
@@ -48,8 +48,8 @@ struct ServiceWorld {
 
 TEST(RmService, RemoteSubmitRoundTrips) {
   ServiceWorld w;
-  erm::RequestManagerClient client(w.testbed.orb(), *w.cdat_host,
-                                   *w.testbed.client_host());
+  erm::RequestManagerClient client(w.testbed.orb, *w.cdat_host,
+                                   w.testbed.client().local_host());
   erm::RequestOptions options;
   options.transfer.parallelism = 2;
   bool done = false;
@@ -71,14 +71,14 @@ TEST(RmService, RemoteSubmitRoundTrips) {
   w.testbed.run_until_flag(done);
   EXPECT_TRUE(done);
   // The data landed at the RM's host (the visualization system's cache).
-  EXPECT_TRUE(w.testbed.ftp_client().local_storage().exists(
+  EXPECT_TRUE(w.testbed.client().local_storage().exists(
       "cache/remote-ds.0-6.ncx"));
 }
 
 TEST(RmService, RemoteSubmitReportsPerFileFailures) {
   ServiceWorld w;
-  erm::RequestManagerClient client(w.testbed.orb(), *w.cdat_host,
-                                   *w.testbed.client_host());
+  erm::RequestManagerClient client(w.testbed.orb, *w.cdat_host,
+                                   w.testbed.client().local_host());
   bool done = false;
   client.submit({{"remote-ds", "remote-ds.0-6.ncx"},
                  {"remote-ds", "no-such-file.ncx"}},
@@ -97,20 +97,20 @@ TEST(RmService, RemoteSubmitReportsPerFileFailures) {
 TEST(RmService, UnknownMethodRejected) {
   ServiceWorld w;
   bool done = false;
-  w.testbed.orb().call(*w.cdat_host, *w.testbed.client_host(), "rm", "BOGUS",
-                       {}, [&](ec::Result<esg::rpc::Payload> r) {
-                         done = true;
-                         ASSERT_FALSE(r.ok());
-                         EXPECT_EQ(r.error().code, ec::Errc::protocol_error);
-                       });
+  w.testbed.orb.call(*w.cdat_host, w.testbed.client().local_host(), "rm",
+                     "BOGUS", {}, [&](ec::Result<esg::rpc::Payload> r) {
+                       done = true;
+                       ASSERT_FALSE(r.ok());
+                       EXPECT_EQ(r.error().code, ec::Errc::protocol_error);
+                     });
   w.testbed.run_until_flag(done);
   EXPECT_TRUE(done);
 }
 
 TEST(RmService, SubsettingTravelsOverTheWire) {
   ServiceWorld w;
-  erm::RequestManagerClient client(w.testbed.orb(), *w.cdat_host,
-                                   *w.testbed.client_host());
+  erm::RequestManagerClient client(w.testbed.orb, *w.cdat_host,
+                                   w.testbed.client().local_host());
   erm::FileRequest fr{"remote-ds", "remote-ds.0-6.ncx",
                       esg::climate::kNcxSubsetModule,
                       "var=temperature;months=0:3"};

@@ -190,6 +190,81 @@ TEST(ScenarioPublish, SeedsCatalogStorageTapeAndForecasts) {
   EXPECT_TRUE(done);
 }
 
+TEST(ScenarioHosts, RatesOverrideReachesOnlyItsHost) {
+  esc::Grid grid(1, {.nic = ec::mbps(500)});
+  grid.net.add_site("a");
+  const esc::HostRates slow{.nic = ec::mbps(100), .cpu = ec::mbps(95),
+                            .disk = ec::mbps(82)};
+  grid.add_server("plain.host", "a");
+  grid.add_server("slow.host", "a", slow);
+  grid.add_client("client", "a");
+  const auto rates_of = [&grid](const std::string& name) {
+    const auto* host = grid.net.find_host(name);
+    EXPECT_NE(host, nullptr) << name;
+    return esc::HostRates{.nic = host->nic()->nominal_capacity(),
+                          .cpu = host->cpu()->nominal_capacity(),
+                          .disk = host->disk()->nominal_capacity()};
+  };
+  for (const char* name : {"plain.host", "client"}) {
+    const auto r = rates_of(name);
+    EXPECT_EQ(r.nic, ec::mbps(500)) << name;
+    EXPECT_EQ(r.cpu, ec::gbps(1)) << name;
+    EXPECT_EQ(r.disk, ec::gbps(1)) << name;
+  }
+  const auto r = rates_of("slow.host");
+  EXPECT_EQ(r.nic, slow.nic);
+  EXPECT_EQ(r.cpu, slow.cpu);
+  EXPECT_EQ(r.disk, slow.disk);
+}
+
+TEST(ScenarioHosts, CatalogAndMdsServeFromTheNamedHosts) {
+  esc::Grid grid;
+  for (const char* site : {"dcc", "anl", "isi"}) grid.net.add_site(site);
+  grid.net.add_link({.name = "dcc-anl", .site_a = "dcc", .site_b = "anl"});
+  grid.net.add_link({.name = "dcc-isi", .site_a = "dcc", .site_b = "isi"});
+  grid.add_client("client", "dcc");
+  grid.add_catalog("ldap.anl", "anl");
+  grid.add_mds("mds.isi", "isi", esc::HostRates{.cpu = ec::mbps(700)});
+  EXPECT_EQ(grid.catalog_host().name(), "ldap.anl");
+  EXPECT_EQ(grid.catalog_host().site(), "anl");
+  EXPECT_EQ(grid.mds_host().name(), "mds.isi");
+  EXPECT_EQ(grid.mds_host().site(), "isi");
+  EXPECT_EQ(grid.mds_host().cpu()->nominal_capacity(), ec::mbps(700));
+  EXPECT_TRUE(grid.orb.service_available(grid.catalog_host(), "ldap"));
+  EXPECT_FALSE(grid.orb.service_available(grid.catalog_host(), "mds"));
+  EXPECT_TRUE(grid.orb.service_available(grid.mds_host(), "mds"));
+  EXPECT_FALSE(grid.orb.service_available(grid.mds_host(), "ldap"));
+
+  // Seeding goes through both services; each answers from its own host.
+  esc::Publication publication;
+  publication.collection = "c";
+  esg::mds::NetworkRecord forecast;
+  forecast.src_host = "lbnl.host";
+  forecast.dst_host = "client";
+  forecast.bandwidth = ec::mbps(120);
+  publication.network.push_back(forecast);
+  grid.publish(publication);
+  grid.sim.run();
+  ASSERT_TRUE(grid.seeding_status().ok());
+  grid.net.set_host_down(*grid.net.find_host("ldap.anl"), true);
+  bool listed = false;
+  bool queried = false;
+  grid.make_catalog().list_locations(
+      "c", [&](ec::Result<std::vector<esg::replica::LocationInfo>> r) {
+        EXPECT_FALSE(r.ok());
+        listed = true;
+      });
+  grid.make_mds_client().query_network(
+      "lbnl.host", "client", [&](ec::Result<esg::mds::NetworkRecord> r) {
+        ASSERT_TRUE(r.ok());
+        EXPECT_EQ(r->bandwidth, ec::mbps(120));
+        queried = true;
+      });
+  grid.sim.run();
+  EXPECT_TRUE(listed);
+  EXPECT_TRUE(queried);
+}
+
 namespace {
 
 std::uint64_t faulted_world_digest(std::uint64_t seed) {

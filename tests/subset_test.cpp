@@ -242,7 +242,7 @@ TEST(SubsetEndToEnd, SubsetViaRawGridFtpEret) {
   opts.eret_module = cl::kNcxSubsetModule;
   opts.eret_params = "var=cloud_fraction;months=36:39";
   bool done = false;
-  testbed.ftp_client().get(
+  testbed.client().get(
       {"sprite.llnl.gov", "subset-ds/subset-ds.36-42.ncx"}, "sub.ncx", opts,
       nullptr, [&](esg::gridftp::TransferResult r) {
         ASSERT_TRUE(r.status.ok()) << r.status.error().to_string();
@@ -250,7 +250,7 @@ TEST(SubsetEndToEnd, SubsetViaRawGridFtpEret) {
       });
   testbed.run_until_flag(done);
   ASSERT_TRUE(done);
-  auto f = testbed.ftp_client().local_storage().get("sub.ncx");
+  auto f = testbed.client().local_storage().get("sub.ncx");
   ASSERT_TRUE(f.ok());
   auto reader = esg::ncformat::NcxReader::open(f->content);
   ASSERT_TRUE(reader.ok());
