@@ -37,6 +37,8 @@ struct GridFtpClient::Op : TransferHandle,
   const net::Host* dst_host = nullptr;
   std::string src_path;    // remote source path (get / third_party)
   std::string local_name;  // local file (get: sink, put: source)
+  // get: the local file, held from the data phase on; views local_name.
+  storage::HostStorage::Handle landing;
   std::string dst_path;    // remote destination path (put / third_party)
   TransferOptions options;
   ProgressCallback progress;
@@ -141,9 +143,10 @@ struct GridFtpClient::Op : TransferHandle,
       }
       sim().tracer().end(verify_span);
       verify_span = 0;
-      auto landed = client->storage_->get(local_name);
-      const std::uint64_t actual =
-          landed ? storage::file_checksum(*landed) : ~expected_checksum;
+      const storage::FileObject* landed = landing.file();
+      const std::uint64_t actual = landed != nullptr
+                                       ? storage::file_checksum(*landed)
+                                       : ~expected_checksum;
       if (actual != expected_checksum) {
         sim().metrics().counter("gridftp_checksum_failures_total").add();
         sim().flight_recorder().record(
@@ -285,6 +288,7 @@ struct GridFtpClient::Op : TransferHandle,
   }
 
   void begin_data_phase() {
+    if (kind == Kind::get) landing = client->storage_->open(local_name);
     const Bytes remaining =
         std::max<Bytes>(0, effective_size - options.restart_offset);
     if (remaining == 0) {
@@ -308,11 +312,10 @@ struct GridFtpClient::Op : TransferHandle,
     // For a fresh GET, materialize the growing local file so size polling
     // (the request manager's monitor) observes arrival.
     if (kind == Kind::get) {
-      if (!client->storage_->exists(local_name)) {
-        (void)client->storage_->put(
-            storage::FileObject::synthetic(local_name, 0));
+      if (landing.file() == nullptr) {
+        (void)landing.put(storage::FileObject::synthetic(local_name, 0));
       }
-      (void)client->storage_->resize(local_name, options.restart_offset);
+      (void)landing.resize(options.restart_offset);
     }
 
     // SBUF auto-negotiation: buffer = bandwidth-delay product for the
@@ -343,9 +346,7 @@ struct GridFtpClient::Op : TransferHandle,
       self->attempt_bytes += delta;
       if (self->channel_bytes) self->channel_bytes->add(delta);
       const Bytes total = self->options.restart_offset + self->attempt_bytes;
-      if (self->kind == Kind::get) {
-        (void)self->client->storage_->resize(self->local_name, total);
-      }
+      if (self->kind == Kind::get) (void)self->landing.resize(total);
       if (self->progress) self->progress(delta, total, now);
     };
     cbs.on_complete = [self](Status st) {
@@ -393,7 +394,7 @@ struct GridFtpClient::Op : TransferHandle,
         storage::corrupt_file(file, ticket);
         sim().metrics().counter("gridftp_corruptions_injected_total").add();
       }
-      (void)client->storage_->put(std::move(file));
+      (void)landing.put(std::move(file));
     } else {  // third_party
       file.name = dst_path;
       if (GridFtpServer* dst = client->registry_.find(dst_host->name())) {

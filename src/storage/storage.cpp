@@ -1,6 +1,7 @@
 #include "storage/storage.hpp"
 
 #include <algorithm>
+#include <cassert>
 
 #include "common/bytebuf.hpp"
 
@@ -32,14 +33,24 @@ void corrupt_file(FileObject& file, std::uint64_t salt) {
 }
 
 Status HostStorage::put(FileObject file) {
-  auto it = files_.find(file.name);
-  const Bytes delta = file.size - (it == files_.end() ? 0 : it->second.size);
+  auto at = files_.lower_bound(file.name);
+  return put_at(at, std::move(file));
+}
+
+Status HostStorage::put_at(Files::iterator& at, FileObject&& file) {
+  const bool found = at != files_.end() && at->first == file.name;
+  const Bytes delta = file.size - (found ? at->second.size : 0);
   if (used_ + delta > capacity_) {
     return Error{Errc::out_of_space,
                  "storage full writing " + file.name};
   }
   used_ += delta;
-  files_[file.name] = std::move(file);
+  if (found) {
+    at->second = std::move(file);
+  } else {
+    std::string name = file.name;
+    at = files_.emplace_hint(at, std::move(name), std::move(file));
+  }
   return common::ok_status();
 }
 
@@ -66,21 +77,58 @@ Status HostStorage::remove(const std::string& name) {
   }
   used_ -= it->second.size;
   files_.erase(it);
+  ++removals_;
   return common::ok_status();
 }
 
-Status HostStorage::resize(const std::string& name, Bytes new_size) {
-  auto it = files_.find(name);
-  if (it == files_.end()) {
-    return Error{Errc::not_found, "no file: " + name};
+HostStorage::Handle HostStorage::open(std::string_view name) {
+  Handle handle;
+  handle.storage_ = this;
+  handle.name_ = name;
+  handle.node_ = files_.end();  // looked up on first use
+  handle.removals_ = removals_;
+  return handle;
+}
+
+bool HostStorage::Handle::current() const {
+  assert(storage_ != nullptr);
+  // Only remove() erases a node, so while the removal count is unchanged
+  // node_ is still the file.  A missing file (end()) is looked up again on
+  // every use, so a put() by name is seen.
+  return removals_ == storage_->removals_ && node_ != storage_->files_.end();
+}
+
+FileObject* HostStorage::Handle::file() {
+  if (!current()) {
+    node_ = storage_->files_.find(name_);
+    removals_ = storage_->removals_;
   }
-  const Bytes delta = new_size - it->second.size;
-  if (used_ + delta > capacity_) {
-    return Error{Errc::out_of_space, "storage full resizing " + name};
+  return node_ == storage_->files_.end() ? nullptr : &node_->second;
+}
+
+Status HostStorage::Handle::resize(Bytes new_size) {
+  FileObject* landed = file();
+  if (landed == nullptr) {
+    return Error{Errc::not_found, "no file: " + std::string(name_)};
   }
-  used_ += delta;
-  it->second.size = new_size;
+  const Bytes delta = new_size - landed->size;
+  if (storage_->used_ + delta > storage_->capacity_) {
+    return Error{Errc::out_of_space, "storage full resizing " + landed->name};
+  }
+  storage_->used_ += delta;
+  landed->size = new_size;
   return common::ok_status();
+}
+
+Status HostStorage::Handle::put(FileObject object) {
+  assert(object.name == name_);
+  auto at = current() ? node_ : storage_->files_.lower_bound(name_);
+  Status st = storage_->put_at(at, std::move(object));
+  if (st.ok()) {
+    node_ = at;
+    removals_ = storage_->removals_;
+  }
+  return st;
 }
 
 std::vector<std::string> HostStorage::list() const {

@@ -14,6 +14,7 @@
 #include <map>
 #include <memory>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "common/result.hpp"
@@ -56,9 +57,49 @@ void corrupt_file(FileObject& file, std::uint64_t salt = 1);
 
 /// Flat per-host file namespace with a capacity budget.
 class HostStorage {
+  using Files = std::map<std::string, FileObject, std::less<>>;
+
  public:
+  /// A writer's hold on one named file, for a writer that touches it many
+  /// times: a GET grows its landing file on every progress tick so the
+  /// request manager's size-polling monitor sees real progress.  The handle
+  /// is the file's map node, found by name on first use.  put() of the same
+  /// name assigns into that node and never moves it, so until some remove()
+  /// runs the handle reaches the file with no name lookup.  After a remove()
+  /// it looks its name up again: a removed file reads as missing, and a file
+  /// put again is followed.  While the file is missing, each use looks it up.
+  ///
+  /// The handle keeps a view of the name it was opened with and a pointer
+  /// to its storage; whoever holds the handle keeps both alive.
+  class Handle {
+   public:
+    Handle() = default;
+
+    /// The file, or nullptr while it is missing.
+    FileObject* file();
+    /// Set the file's size, under put()'s capacity check.  A missing file
+    /// stays missing: not_found, and nothing is written.
+    common::Status resize(Bytes new_size);
+    /// put() through the handle: assign in place, or create the file if it
+    /// is missing.  `object.name` must be the handle's name.
+    common::Status put(FileObject object);
+
+   private:
+    friend class HostStorage;
+    /// node_ is the file, with no lookup needed.
+    bool current() const;
+
+    HostStorage* storage_ = nullptr;
+    std::string_view name_;
+    Files::iterator node_{};  // the file, or files_.end() while missing
+    std::uint64_t removals_ = 0;  // storage's remove() count at node_'s lookup
+  };
+
   explicit HostStorage(Bytes capacity = 1000 * common::kGB)
       : capacity_(capacity) {}
+  // Handles hold the storage's address and its map nodes.
+  HostStorage(const HostStorage&) = delete;
+  HostStorage& operator=(const HostStorage&) = delete;
 
   common::Status put(FileObject file);
   common::Result<FileObject> get(const std::string& name) const;
@@ -66,9 +107,8 @@ class HostStorage {
   common::Result<Bytes> size_of(const std::string& name) const;
   common::Status remove(const std::string& name);
 
-  /// Grow a file in place (used to track partial transfer arrivals so the
-  /// request manager's size-polling monitor sees real progress).
-  common::Status resize(const std::string& name, Bytes new_size);
+  /// Handle to `name`, which need not exist yet (see Handle).
+  Handle open(std::string_view name);
 
   Bytes capacity() const { return capacity_; }
   Bytes used() const { return used_; }
@@ -76,9 +116,14 @@ class HostStorage {
   std::vector<std::string> list() const;
 
  private:
+  /// put() given `at`, the first node whose name is not less than
+  /// file.name; on success `at` is the file's node.
+  common::Status put_at(Files::iterator& at, FileObject&& file);
+
   Bytes capacity_;
   Bytes used_ = 0;
-  std::map<std::string, FileObject> files_;
+  std::uint64_t removals_ = 0;
+  Files files_;
 };
 
 /// LRU disk cache with pinning — the staging area HRM manages in front of

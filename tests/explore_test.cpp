@@ -129,7 +129,9 @@ TEST(Enumeration, FaultsSortedAndInsideHorizon) {
   for (const auto& s : ex::enumerate_schedules(config)) {
     for (std::size_t i = 0; i < s.faults.size(); ++i) {
       EXPECT_LE(s.faults[i].start + s.faults[i].duration, s.horizon);
-      if (i > 0) EXPECT_LE(s.faults[i - 1].start, s.faults[i].start);
+      if (i > 0) {
+        EXPECT_LE(s.faults[i - 1].start, s.faults[i].start);
+      }
     }
   }
 }

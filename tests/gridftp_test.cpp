@@ -223,6 +223,33 @@ TEST(GridFtp, ProgressGrowsLocalFile) {
   EXPECT_LT(mid_size, 50'000'000);
 }
 
+TEST(GridFtp, LandingFileRemovedMidTransferStillLands) {
+  // The GET holds its landing file across the transfer; a removal under it
+  // must not strand the handle.  Progress writes nothing while the file is
+  // gone, and the content attach lands the whole file again.
+  Grid g;
+  g.add_file("big", 50'000'000);
+  bool removed = false;
+  g.sim.schedule_at(3 * kSecond, [&] {
+    removed = g.client->local_storage().remove("big").ok();
+  });
+  eg::TransferResult result;
+  bool done = false;
+  g.client->get({"pdsf.lbl.gov", "big"}, "big", fast_opts(), nullptr,
+                [&](eg::TransferResult r) {
+                  result = std::move(r);
+                  done = true;
+                });
+  g.sim.run();
+  ASSERT_TRUE(done);
+  EXPECT_TRUE(removed);  // the removal really happened mid-transfer
+  ASSERT_TRUE(result.status.ok()) << result.status.error().to_string();
+  EXPECT_TRUE(result.checksum_verified);
+  auto& local = g.client->local_storage();
+  EXPECT_EQ(local.size_of("big").value_or(-1), 50'000'000);
+  EXPECT_EQ(local.used(), 50'000'000);
+}
+
 TEST(GridFtp, ParallelStreamsFasterOnLossyPath) {
   auto run = [](int parallelism) {
     Grid g(mbps(622), 20 * kMillisecond, 3e-4);

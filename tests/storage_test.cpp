@@ -31,6 +31,9 @@ TEST(HostStorage, CapacityEnforced) {
   auto st = fs.put(est::FileObject::synthetic("b", 30));
   ASSERT_FALSE(st.ok());
   EXPECT_EQ(st.error().code, ec::Errc::out_of_space);
+  EXPECT_FALSE(fs.exists("b"));  // the refused put inserted nothing
+  EXPECT_EQ(fs.file_count(), 1u);
+  EXPECT_EQ(fs.used(), 80);
 }
 
 TEST(HostStorage, OverwriteAdjustsUsage) {
@@ -43,10 +46,95 @@ TEST(HostStorage, OverwriteAdjustsUsage) {
 TEST(HostStorage, ResizeTracksPartialArrival) {
   est::HostStorage fs(100);
   ASSERT_TRUE(fs.put(est::FileObject::synthetic("partial", 0)).ok());
-  ASSERT_TRUE(fs.resize("partial", 60).ok());
+  auto partial = fs.open("partial");
+  ASSERT_TRUE(partial.resize(60).ok());
   EXPECT_EQ(fs.size_of("partial").value_or(0), 60);
   EXPECT_EQ(fs.used(), 60);
-  EXPECT_FALSE(fs.resize("partial", 200).ok());
+  EXPECT_FALSE(partial.resize(200).ok());
+}
+
+// ---------- HostStorage::Handle ----------
+
+TEST(HostStorageHandle, GrowsFileAndUsageUpToCapacity) {
+  est::HostStorage fs(100);
+  ASSERT_TRUE(fs.put(est::FileObject::synthetic("other", 30)).ok());
+  auto landing = fs.open("landing");
+  EXPECT_EQ(landing.file(), nullptr);
+  ASSERT_TRUE(landing.put(est::FileObject::synthetic("landing", 0)).ok());
+  ASSERT_NE(landing.file(), nullptr);
+  ASSERT_TRUE(landing.resize(40).ok());
+  EXPECT_EQ(fs.size_of("landing").value_or(-1), 40);
+  EXPECT_EQ(fs.used(), 70);
+  // The last byte that fits is byte 100 of the budget, as for put().
+  ASSERT_TRUE(landing.resize(70).ok());
+  EXPECT_EQ(fs.used(), 100);
+  auto st = landing.resize(71);
+  ASSERT_FALSE(st.ok());
+  EXPECT_EQ(st.error().code, ec::Errc::out_of_space);
+  EXPECT_EQ(landing.file()->size, 70);
+  EXPECT_EQ(fs.used(), 100);
+}
+
+TEST(HostStorageHandle, SurvivesSamePutAndOtherRemovals) {
+  est::HostStorage fs(1000);
+  ASSERT_TRUE(fs.put(est::FileObject::synthetic("f", 0)).ok());
+  ASSERT_TRUE(fs.put(est::FileObject::synthetic("g", 5)).ok());
+  auto landing = fs.open("f");
+  const est::FileObject* node = landing.file();
+  ASSERT_TRUE(landing.resize(10).ok());
+  // Content attach by name assigns into the handle's node.
+  auto data = std::make_shared<const std::vector<std::uint8_t>>(
+      std::vector<std::uint8_t>{7, 8, 9});
+  ASSERT_TRUE(fs.put(est::FileObject::with_content("f", data)).ok());
+  EXPECT_EQ(landing.file(), node);
+  EXPECT_EQ(landing.file()->size, 3);
+  EXPECT_EQ(landing.file()->content, data);
+  // So does an attach through the handle.
+  ASSERT_TRUE(landing.put(est::FileObject::synthetic("f", 8)).ok());
+  EXPECT_EQ(landing.file(), node);
+  EXPECT_EQ(fs.used(), 13);
+  // Removing another file leaves the handle on its own.
+  ASSERT_TRUE(fs.remove("g").ok());
+  ASSERT_TRUE(landing.resize(20).ok());
+  EXPECT_EQ(landing.file(), node);
+  EXPECT_EQ(fs.size_of("f").value_or(-1), 20);
+  EXPECT_EQ(fs.used(), 20);
+}
+
+TEST(HostStorageHandle, RemovedFileReadsAsMissing) {
+  est::HostStorage fs(1000);
+  ASSERT_TRUE(fs.put(est::FileObject::synthetic("f", 10)).ok());
+  ASSERT_TRUE(fs.put(est::FileObject::synthetic("g", 5)).ok());
+  auto landing = fs.open("f");
+  ASSERT_NE(landing.file(), nullptr);
+  ASSERT_TRUE(fs.remove("f").ok());
+  EXPECT_EQ(landing.file(), nullptr);
+  auto st = landing.resize(50);
+  ASSERT_FALSE(st.ok());
+  EXPECT_EQ(st.error().code, ec::Errc::not_found);
+  EXPECT_FALSE(fs.exists("f"));  // the resize wrote nothing
+  EXPECT_EQ(fs.file_count(), 1u);
+  EXPECT_EQ(fs.used(), 5);
+}
+
+TEST(HostStorageHandle, FollowsAFilePutAgain) {
+  est::HostStorage fs(1000);
+  ASSERT_TRUE(fs.put(est::FileObject::synthetic("f", 10)).ok());
+  auto landing = fs.open("f");
+  ASSERT_TRUE(fs.remove("f").ok());
+  EXPECT_EQ(landing.file(), nullptr);
+  ASSERT_TRUE(fs.put(est::FileObject::synthetic("f", 7)).ok());
+  ASSERT_NE(landing.file(), nullptr);
+  EXPECT_EQ(landing.file()->size, 7);
+  ASSERT_TRUE(landing.resize(9).ok());
+  EXPECT_EQ(fs.size_of("f").value_or(-1), 9);
+  EXPECT_EQ(fs.used(), 9);
+  // Removed and put again between two uses: the handle finds the new node.
+  ASSERT_TRUE(fs.remove("f").ok());
+  ASSERT_TRUE(fs.put(est::FileObject::synthetic("f", 4)).ok());
+  ASSERT_TRUE(landing.resize(6).ok());
+  EXPECT_EQ(fs.size_of("f").value_or(-1), 6);
+  EXPECT_EQ(fs.used(), 6);
 }
 
 TEST(HostStorage, ContentAttached) {
