@@ -16,8 +16,8 @@
 //
 // Every transfer carries progress and completion callbacks, as the ones
 // TcpTransfer starts do, so the bench times the one path every world takes.
-// The island tiers then check that a mutation on one island solves only
-// that island and allocates nothing, at 50k / 100k flows.
+// Each solve walks every live flow: the worlds that run have a few dozen
+// streams on one connected topology.
 //
 // Emits BENCH_fluid_scale.json via bench::write_bench_json so the trajectory
 // is tracked run over run.  `--small` runs a reduced configuration for the
@@ -210,121 +210,6 @@ ScaleResult run_scale(int n_flows, int solve_reps, es::Simulation& sim) {
   return out;
 }
 
-struct IslandResult {
-  int flows = 0;
-  int islands = 0;
-  int per_island = 0;
-  double touch_us = 0.0;       // mean end-to-end cost of an isolated mutation
-  double touch_allocs = 0.0;   // heap allocations per steady-state solve
-  std::size_t components = 0;  // live components after setup
-  std::size_t max_solve = 0;   // largest component walked by any solve
-  double flows_per_touch = 0.0;  // flows_solved_total delta per mutation
-  std::size_t drained = 0;       // bounded transfers completed by their events
-};
-
-/// Partitioned-solver tier: `n_islands` disjoint islands (1 core link + 4
-/// NICs each) of `per_island` unbounded flows.  A cap mutation on one island
-/// must solve only that island and allocate nothing — the counters assert
-/// both machine-independently.  Its wall time also integrates every live
-/// transfer on the shared clock, so it grows with the fleet.
-IslandResult run_islands(int n_islands, int per_island, int reps,
-                         es::Simulation& sim) {
-  en::FluidNetwork fluid(sim, 100 * ec::kMillisecond);
-  ec::Rng rng(20260808);
-  Watch watch;
-
-  IslandResult out;
-  out.islands = n_islands;
-  out.per_island = per_island;
-  out.flows = n_islands * per_island;
-
-  std::vector<std::vector<en::Resource*>> nics(
-      static_cast<std::size_t>(n_islands));
-  std::vector<en::Resource*> links;
-  std::vector<std::vector<en::TransferId>> ids(
-      static_cast<std::size_t>(n_islands));
-  for (int i = 0; i < n_islands; ++i) {
-    const std::string tag = "isl" + std::to_string(i);
-    links.push_back(fluid.add_resource(tag + ".core", ec::gbps(10)));
-    for (int k = 0; k < 4; ++k) {
-      nics[i].push_back(
-          fluid.add_resource(tag + ".nic" + std::to_string(k), ec::gbps(1)));
-    }
-  }
-  // One batch: each island's component is assembled flow by flow but solved
-  // exactly once at the end.
-  fluid.batch([&] {
-    for (int i = 0; i < n_islands; ++i) {
-      for (int f = 0; f < per_island; ++f) {
-        const en::Rate cap = rng.uniform() < 0.3
-                                 ? ec::mbps(rng.uniform(10.0, 200.0))
-                                 : en::kUnlimitedRate;
-        std::vector<const en::Resource*> path = {
-            nics[i][f % 4], links[i], nics[i][(f + 1) % 4]};
-        ids[i].push_back(fluid.start_transfer({en::FlowSpec{path, cap}},
-                                              en::kUnboundedBytes,
-                                              watched(watch)));
-      }
-    }
-  });
-  out.components = fluid.components();
-
-  // Warm the solver scratch (it sizes itself to the largest component seen),
-  // then measure: every mutation lands in a different island.
-  for (int rep = 0; rep < 3; ++rep) {
-    fluid.set_transfer_cap(ids[rep % n_islands][0], ec::mbps(80.0));
-  }
-  fluid.reset_solve_stats();
-  const std::uint64_t solved_before = fluid.flows_solved_total();
-  {
-    double total = 0.0;
-    std::uint64_t allocs = 0;
-    for (int rep = 0; rep < reps; ++rep) {
-      const int isl = rep % n_islands;
-      const auto victim = ids[isl][static_cast<std::size_t>(rep) %
-                                   ids[isl].size()];
-      const en::Rate cap = ec::mbps(40.0 + (rep % 9) * 20.0);
-      const auto a0 = g_alloc_count;
-      const auto t0 = Clock::now();
-      fluid.set_transfer_cap(victim, cap);
-      const auto t1 = Clock::now();
-      allocs += g_alloc_count - a0;
-      total += elapsed_us(t0, t1);
-    }
-    out.touch_us = total / reps;
-    out.touch_allocs = static_cast<double>(allocs) / reps;
-    out.flows_per_touch =
-        static_cast<double>(fluid.flows_solved_total() - solved_before) / reps;
-  }
-  out.max_solve = fluid.max_solve_flows();
-
-  // Bounded-drain: one finite transfer per island, completed through the
-  // shared next-completion event while poll ticks report progress.
-  {
-    std::vector<en::TransferId> bounded;
-    fluid.batch([&] {
-      for (int i = 0; i < n_islands; ++i) {
-        std::vector<const en::Resource*> path = {nics[i][0], links[i],
-                                                 nics[i][1]};
-        bounded.push_back(fluid.start_transfer(
-            {en::FlowSpec{path, en::kUnlimitedRate}}, 10'000'000,
-            watched(watch)));
-      }
-    });
-    sim.run_until(sim.now() + 60 * ec::kSecond);
-    for (const auto id : bounded) {
-      if (!fluid.transfer_active(id)) ++out.drained;
-    }
-  }
-
-  fluid.batch([&] {
-    for (const auto& island : ids) {
-      for (const auto id : island) fluid.cancel_transfer(id);
-    }
-  });
-  return out;
-}
-
 std::string fmt(double v, const char* unit) {
   char buf[64];
   std::snprintf(buf, sizeof(buf), "%.2f %s", v, unit);
@@ -403,67 +288,6 @@ int main(int argc, char** argv) {
     manifest.set_bench(tag + " allocs/tick", r.tick_allocs);
   }
 
-  // Partitioned tiers at 50k / 100k flows.  Wall-clock rows are
-  // informational; the gate consumes only the counter-derived fields
-  // (allocs per touch, flows walked per touch, component sizes), which are
-  // deterministic.
-  struct IslandTier {
-    int islands;
-    int per_island;
-  };
-  const std::vector<IslandTier> island_tiers =
-      small ? std::vector<IslandTier>{{20, 100}}
-            : std::vector<IslandTier>{{500, 100}, {1000, 100}};
-  const int island_reps = small ? 40 : 200;
-  bool islands_clean = true;
-  for (const IslandTier tier : island_tiers) {
-    const IslandResult r =
-        run_islands(tier.islands, tier.per_island, island_reps, sim);
-    const double ns_per_touch = r.touch_us * 1000.0;
-    const bool bounded_by_island =
-        r.max_solve <= static_cast<std::size_t>(tier.per_island) + 1;
-    islands_clean = islands_clean && r.touch_allocs == 0.0 &&
-                    bounded_by_island &&
-                    r.components == static_cast<std::size_t>(tier.islands) &&
-                    r.drained == static_cast<std::size_t>(tier.islands);
-
-    std::printf(
-        "\nislands=%dx%d (%d flows)\n"
-        "  isolated touch  %10.2f us  (%.0f ns/touch, %.1f ns/transfer)\n"
-        "  allocs/touch    %10.2f      (steady state must be 0)\n"
-        "  flows/touch     %10.1f      (= touched island, not fleet)\n"
-        "  components      %10zu      max solve %zu flows\n"
-        "  bounded drain   %10zu / %d bounded transfers completed\n",
-        r.islands, r.per_island, r.flows, r.touch_us, ns_per_touch,
-        ns_per_touch / r.flows, r.touch_allocs, r.flows_per_touch,
-        r.components, r.max_solve, r.drained, tier.islands);
-
-    const std::string tag =
-        "islands=" + std::to_string(tier.islands) + "x" +
-        std::to_string(tier.per_island);
-    rows.push_back({tag + " us/touch (isolated)", "O(live transfers)",
-                    fmt(r.touch_us, "us")});
-    rows.push_back({tag + " allocs/touch", "0", fmt(r.touch_allocs, "")});
-    rows.push_back({tag + " flows/touch", std::to_string(tier.per_island),
-                    fmt(r.flows_per_touch, "")});
-    rows.push_back({tag + " max solve flows",
-                    "<=" + std::to_string(tier.per_island + 1),
-                    std::to_string(r.max_solve)});
-    rows.push_back({tag + " components", std::to_string(tier.islands),
-                    std::to_string(r.components)});
-
-    manifest.set_bench(tag + " allocs/touch", r.touch_allocs);
-    manifest.set_bench(tag + " flows/touch", r.flows_per_touch);
-    manifest.set_bench(tag + " max solve flows",
-                       static_cast<double>(r.max_solve));
-    manifest.set_bench(tag + " components",
-                       static_cast<double>(r.components));
-    // The key keeps the name of the event queue it was written for, so
-    // the checked-in baseline stays comparable.
-    manifest.set_bench(tag + " calendar drained",
-                       static_cast<double>(r.drained));
-  }
-
   esg::bench::print_table(rows);
   esg::bench::write_bench_json("fluid_scale", rows,
                                sim.metrics().snapshot(sim.now()));
@@ -491,13 +315,6 @@ int main(int argc, char** argv) {
   if (worst_gap > 1e-3) {
     std::printf("FAIL: dense and reference solvers diverged (%.3g B/s)\n",
                 worst_gap);
-    return 1;
-  }
-  if (!islands_clean) {
-    std::printf(
-        "FAIL: partitioned tier violated an invariant (allocs/touch != 0, "
-        "solve larger than one island, wrong component count, or a bounded "
-        "transfer failed to drain)\n");
     return 1;
   }
   return 0;

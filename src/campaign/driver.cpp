@@ -139,7 +139,6 @@ void CampaignDriver::start_task(SiteQueue& sq, std::uint32_t file_index) {
   }
   gridftp::ReliabilityOptions rel;
   static_cast<common::RetryPolicy&>(rel) = options_.retry;
-  rel.min_rate = options_.min_rate;
   rel.replica_allowed = [this](const std::string& host) {
     return health_.allow(host);
   };

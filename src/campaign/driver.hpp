@@ -49,8 +49,6 @@ struct CampaignOptions {
   gridftp::TransferOptions transfer;
   /// Retry shape for each file (feeds gridftp::ReliabilityOptions).
   common::RetryPolicy retry;
-  /// Replica-switch threshold (0 = disabled), per ReliabilityOptions.
-  common::Rate min_rate = 0.0;
   rm::BreakerConfig breaker;
   /// Open a `campaign.file` trace span per task (queued at run(), ended at
   /// completion) and route each transfer's gridftp/net spans onto a

@@ -26,9 +26,8 @@ constexpr scenario::HostRates kDirectoryRates{
 
 }  // namespace
 
-// The simulation keeps seed 1; config.seed seeds the model and sensors.
 EsgTestbed::EsgTestbed(TestbedConfig config)
-    : Grid(1, kDataServerRates),
+    : Grid(config.seed, kDataServerRates),
       config_(config),
       model_(climate::ModelConfig{config.grid, config.seed, 1995}) {
   for (const char* site :

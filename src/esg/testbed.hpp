@@ -40,6 +40,7 @@
 namespace esg::esg {
 
 struct TestbedConfig {
+  /// Seeds the simulation, the climate model and the NWS sensors.
   std::uint64_t seed = 2001;
   climate::GridSpec grid{36, 72};
   common::SimDuration sensor_period = 60 * common::kSecond;

@@ -16,9 +16,6 @@ FluidNetwork::FluidNetwork(sim::Simulation& simulation,
                            SimDuration poll_interval)
     : sim_(simulation), poll_interval_(poll_interval) {
   integrated_at_ = sim_.now();
-  components_gauge_ = &sim_.metrics().gauge("net_components");
-  solve_size_gauge_ = &sim_.metrics().gauge("net_component_solve_size");
-  components_gauge_->set(0.0);
 }
 
 FluidNetwork::~FluidNetwork() {
@@ -36,10 +33,9 @@ Resource* FluidNetwork::add_resource(std::string name, Rate capacity) {
   assert(inserted && "duplicate resource name");
   (void)it;
   resources_by_id_.push_back(ptr);
-  res_comp_.push_back(kNone);
   res_flows_.push_back(0);
   foreground_.push_back(0.0);
-  // Per-resource solver scratch grows here, never during a solve.
+  // Per-resource solver scratch, indexed by id, grows here.
   usage_scratch_.push_back(0.0);
   cap_scratch_.push_back(0.0);
   unfrozen_scratch_.push_back(0);
@@ -53,27 +49,24 @@ Resource* FluidNetwork::find_resource(const std::string& name) {
 
 void FluidNetwork::on_mutation() {
   rates_dirty_ = true;
+  solve_dirty_ = true;
   if (batch_depth_ == 0) touch();
 }
 
-void FluidNetwork::mark_dirty(std::uint32_t cid) {
-  Component& c = comp_pool_[cid];
-  if (!c.dirty) {
-    c.dirty = true;
-    dirty_comps_.push_back(cid);
-  }
+void FluidNetwork::on_resource_change(Resource* resource) {
+  if (res_flows_[resource->id_] > 0) return on_mutation();
+  // No flow crosses it, so no rate moves: the next reallocation refreshes
+  // its gauge without a solve.
+  pending_res_.push_back(resource);
+  rates_dirty_ = true;
+  if (batch_depth_ == 0) touch();
 }
 
 void FluidNetwork::set_down(Resource* resource, bool down) {
   assert(resource != nullptr);
   if (resource->down_ == down) return;
   resource->down_ = down;
-  if (res_comp_[resource->id_] != kNone) {
-    mark_dirty(res_comp_[resource->id_]);
-  } else {
-    pending_res_.push_back(resource);
-  }
-  on_mutation();
+  on_resource_change(resource);
 }
 
 void FluidNetwork::set_background(Resource* resource, Rate load) {
@@ -81,12 +74,7 @@ void FluidNetwork::set_background(Resource* resource, Rate load) {
   const Rate clamped = std::max(0.0, load);
   if (resource->background_ == clamped) return;
   resource->background_ = clamped;
-  if (res_comp_[resource->id_] != kNone) {
-    mark_dirty(res_comp_[resource->id_]);
-  } else {
-    pending_res_.push_back(resource);
-  }
-  on_mutation();
+  on_resource_change(resource);
 }
 
 void FluidNetwork::set_capacity(Resource* resource, Rate capacity) {
@@ -94,12 +82,7 @@ void FluidNetwork::set_capacity(Resource* resource, Rate capacity) {
   const Rate clamped = std::max(0.0, capacity);
   if (resource->nominal_ == clamped) return;
   resource->nominal_ = clamped;
-  if (res_comp_[resource->id_] != kNone) {
-    mark_dirty(res_comp_[resource->id_]);
-  } else {
-    pending_res_.push_back(resource);
-  }
-  on_mutation();
+  on_resource_change(resource);
 }
 
 // ---- arenas ----
@@ -117,7 +100,8 @@ std::uint32_t FluidNetwork::path_alloc(std::uint32_t len) {
   return begin;
 }
 
-std::uint32_t FluidNetwork::alloc_flow(const FlowSpec& spec) {
+std::uint32_t FluidNetwork::alloc_flow(const FlowSpec& spec,
+                                       std::uint32_t tslot) {
   std::uint32_t fslot;
   if (!flow_free_.empty()) {
     fslot = flow_free_.back();
@@ -128,11 +112,14 @@ std::uint32_t FluidNetwork::alloc_flow(const FlowSpec& spec) {
   }
   Flow& f = flow_pool_[fslot];
   f = Flow{};
+  f.transfer = tslot;
   f.cap = spec.cap;
   f.path_len = static_cast<std::uint32_t>(spec.path.size());
   f.path_begin = path_alloc(f.path_len);
   for (std::uint32_t k = 0; k < f.path_len; ++k) {
-    path_pool_[f.path_begin + k] = spec.path[k]->id();
+    const std::uint32_t rid = spec.path[k]->id();
+    path_pool_[f.path_begin + k] = rid;
+    ++res_flows_[rid];
   }
   return fslot;
 }
@@ -144,113 +131,17 @@ void FluidNetwork::free_flow(std::uint32_t fslot) {
   flow_free_.push_back(fslot);
 }
 
-std::uint32_t FluidNetwork::alloc_comp() {
-  std::uint32_t cid;
-  if (!comp_free_.empty()) {
-    cid = comp_free_.back();
-    comp_free_.pop_back();
-  } else {
-    cid = static_cast<std::uint32_t>(comp_pool_.size());
-    comp_pool_.emplace_back();
-    comp_mark_.push_back(0);
-  }
-  Component& c = comp_pool_[cid];
-  c.flows.clear();
-  c.resources.clear();
-  c.live = true;
-  c.dirty = false;
-  ++live_components_;
-  components_gauge_->set(static_cast<double>(live_components_));
-  return cid;
-}
-
-void FluidNetwork::free_comp(std::uint32_t cid) {
-  Component& c = comp_pool_[cid];
-  c.flows.clear();
-  c.resources.clear();
-  c.live = false;
-  c.dirty = false;
-  comp_free_.push_back(cid);
-  --live_components_;
-  components_gauge_->set(static_cast<double>(live_components_));
-}
-
-void FluidNetwork::assign_flow_component(std::uint32_t fslot) {
-  Flow& f = flow_pool_[fslot];
-  // Collect the distinct components the path touches.
-  ++mark_epoch_;
-  merge_scratch_.clear();
-  std::uint32_t target = kNone;
-  for (std::uint32_t k = 0; k < f.path_len; ++k) {
-    const std::uint32_t cid = res_comp_[path_pool_[f.path_begin + k]];
-    if (cid == kNone || comp_mark_[cid] == mark_epoch_) continue;
-    comp_mark_[cid] = mark_epoch_;
-    merge_scratch_.push_back(cid);
-    if (target == kNone ||
-        comp_pool_[cid].flows.size() > comp_pool_[target].flows.size()) {
-      target = cid;
-    }
-  }
-  if (target == kNone) target = alloc_comp();
-  // Absorb every other bridged component into the largest one.
-  for (const std::uint32_t cid : merge_scratch_) {
-    if (cid == target) continue;
-    Component& from = comp_pool_[cid];
-    Component& into = comp_pool_[target];
-    for (const std::uint32_t fs : from.flows) {
-      flow_pool_[fs].comp = target;
-      flow_pool_[fs].index_in_comp =
-          static_cast<std::uint32_t>(into.flows.size());
-      into.flows.push_back(fs);
-    }
-    for (const std::uint32_t rid : from.resources) {
-      res_comp_[rid] = target;
-      into.resources.push_back(rid);
-    }
-    free_comp(cid);
-  }
-  Component& c = comp_pool_[target];
-  f.comp = target;
-  f.index_in_comp = static_cast<std::uint32_t>(c.flows.size());
-  c.flows.push_back(fslot);
-  for (std::uint32_t k = 0; k < f.path_len; ++k) {
-    const std::uint32_t rid = path_pool_[f.path_begin + k];
-    ++res_flows_[rid];
-    if (res_comp_[rid] == kNone) {
-      res_comp_[rid] = target;
-      c.resources.push_back(rid);
-    }
-  }
-  mark_dirty(target);
-}
-
 void FluidNetwork::remove_flow(std::uint32_t fslot) {
-  Flow& f = flow_pool_[fslot];
-  const std::uint32_t cid = f.comp;
-  Component& c = comp_pool_[cid];
-  // Swap-remove from the component's flow list.
-  const std::uint32_t pos = f.index_in_comp;
-  const std::uint32_t last = c.flows.back();
-  c.flows[pos] = last;
-  flow_pool_[last].index_in_comp = pos;
-  c.flows.pop_back();
-  // Orphan every resource no remaining flow crosses.  The component keeps
-  // the rest even if this flow was the only link between them.
+  const Flow& f = flow_pool_[fslot];
+  // A resource no remaining flow crosses leaves the solve with zero usage.
   for (std::uint32_t k = 0; k < f.path_len; ++k) {
     const std::uint32_t rid = path_pool_[f.path_begin + k];
     if (--res_flows_[rid] > 0) continue;
-    c.resources.erase(std::find(c.resources.begin(), c.resources.end(), rid));
-    res_comp_[rid] = kNone;
     foreground_[rid] = 0.0;
     update_resource_gauge(resources_by_id_[rid]);
   }
-  if (c.flows.empty()) {
-    // A pending dirty entry for this slot is skipped by the solve loop.
-    free_comp(cid);
-  } else {
-    mark_dirty(cid);
-  }
   free_flow(fslot);
+  solve_dirty_ = true;
 }
 
 // ---- transfers ----
@@ -266,7 +157,6 @@ TransferId FluidNetwork::start_transfer(std::vector<FlowSpec> flows,
   } else {
     tslot = static_cast<std::uint32_t>(transfer_pool_.size());
     transfer_pool_.emplace_back();
-    transfer_mark_.push_back(0);
   }
   Transfer& t = transfer_pool_[tslot];
   t.id = next_id_++;
@@ -277,12 +167,7 @@ TransferId FluidNetwork::start_transfer(std::vector<FlowSpec> flows,
   t.callbacks = std::move(callbacks);
   t.flows.clear();
   t.flows.reserve(flows.size());
-  for (const auto& spec : flows) {
-    const std::uint32_t fslot = alloc_flow(spec);
-    flow_pool_[fslot].transfer = tslot;
-    t.flows.push_back(fslot);
-    assign_flow_component(fslot);
-  }
+  for (const auto& spec : flows) t.flows.push_back(alloc_flow(spec, tslot));
   const TransferId id = t.id;
   index_.emplace(id, tslot);
   on_mutation();
@@ -321,7 +206,6 @@ void FluidNetwork::set_flow_cap(TransferId id, std::size_t flow_index,
   Flow& f = flow_pool_[t.flows[flow_index]];
   if (f.cap == cap) return;
   f.cap = cap;
-  mark_dirty(f.comp);
   on_mutation();
 }
 
@@ -334,7 +218,6 @@ void FluidNetwork::set_transfer_cap(TransferId id, Rate cap) {
     Flow& f = flow_pool_[fslot];
     if (f.cap != cap) {
       f.cap = cap;
-      mark_dirty(f.comp);
       changed = true;
     }
   }
@@ -345,10 +228,7 @@ void FluidNetwork::add_flow(TransferId id, FlowSpec flow) {
   auto it = index_.find(id);
   if (it == index_.end()) return;
   const std::uint32_t tslot = it->second;
-  const std::uint32_t fslot = alloc_flow(flow);
-  flow_pool_[fslot].transfer = tslot;
-  transfer_pool_[tslot].flows.push_back(fslot);
-  assign_flow_component(fslot);
+  transfer_pool_[tslot].flows.push_back(alloc_flow(flow, tslot));
   on_mutation();
 }
 
@@ -395,12 +275,6 @@ Rate FluidNetwork::flow_rate(TransferId id, std::size_t flow_index) const {
   return flow_pool_[t.flows[flow_index]].rate;
 }
 
-bool FluidNetwork::same_component(const Resource* a, const Resource* b) const {
-  if (a == nullptr || b == nullptr) return false;
-  const std::uint32_t ca = res_comp_[a->id()];
-  return ca != kNone && ca == res_comp_[b->id()];
-}
-
 void FluidNetwork::update() { touch(); }
 
 // ---- integration ----
@@ -442,22 +316,25 @@ void FluidNetwork::update_resource_gauge(Resource* res) {
   ++util_gauge_updates_;
 }
 
-void FluidNetwork::solve_component(std::uint32_t cid) {
-  // Progressive filling (water-filling) with per-flow caps, restricted to
-  // one component.  Every flow ends either frozen at its cap or
-  // crossing a saturated resource — the classic max-min optimality
-  // condition, asserted by the property tests against the retained
-  // reference implementation (net/fluid_reference.hpp).  The arithmetic is
-  // iteration-order independent within a round, so a single-component world
-  // reproduces the pre-partitioned global solver bit-for-bit.
-  Component& c = comp_pool_[cid];
-
+void FluidNetwork::solve() {
+  // Progressive filling (water-filling) with per-flow caps over every live
+  // flow.  Every flow ends either frozen at its cap or crossing a saturated
+  // resource — the classic max-min optimality condition, asserted by the
+  // property tests against the retained reference implementation
+  // (net/fluid_reference.hpp).  The walk order does not matter: a round's
+  // minimum is order-free, and every unfrozen flow adds the same delta.
   entries_scratch_.clear();
-  for (const std::uint32_t fslot : c.flows) {
-    flow_pool_[fslot].rate = 0.0;
+  for (std::uint32_t fslot = 0; fslot < flow_pool_.size(); ++fslot) {
+    Flow& f = flow_pool_[fslot];
+    if (f.transfer == kNone) continue;  // a free slot
+    f.rate = 0.0;
     entries_scratch_.push_back(SolverEntry{fslot, false});
   }
-  for (const std::uint32_t rid : c.resources) {
+  if (entries_scratch_.empty()) return;
+  res_scratch_.clear();
+  for (std::uint32_t rid = 0; rid < res_flows_.size(); ++rid) {
+    if (res_flows_[rid] == 0) continue;
+    res_scratch_.push_back(rid);
     usage_scratch_[rid] = 0.0;
     unfrozen_scratch_[rid] = 0;
     cap_scratch_[rid] = resources_by_id_[rid]->effective_capacity();
@@ -478,7 +355,7 @@ void FluidNetwork::solve_component(std::uint32_t cid) {
       const Flow& f = flow_pool_[e.fslot];
       delta = std::min(delta, f.cap - f.rate);
     }
-    for (const std::uint32_t rid : c.resources) {
+    for (const std::uint32_t rid : res_scratch_) {
       const int n = unfrozen_scratch_[rid];
       if (n <= 0) continue;
       const double room = cap_scratch_[rid] - usage_scratch_[rid];
@@ -534,47 +411,24 @@ void FluidNetwork::solve_component(std::uint32_t cid) {
     if (!any_frozen) break;  // numerical safety: guarantee progress
   }
 
-  // Publish the component's foreground usage (write-on-change gauges).
-  for (const std::uint32_t rid : c.resources) {
+  // Publish the foreground usage (write-on-change gauges).
+  for (const std::uint32_t rid : res_scratch_) {
     foreground_[rid] = usage_scratch_[rid];
     update_resource_gauge(resources_by_id_[rid]);
   }
 
   // Refresh the per-transfer aggregate cache the rest of the network (rate
-  // queries, completion prediction, byte integration) reads, once per
-  // distinct transfer.
-  ++mark_epoch_;
-  for (const std::uint32_t fslot : c.flows) {
-    const std::uint32_t tslot = flow_pool_[fslot].transfer;
-    if (transfer_mark_[tslot] == mark_epoch_) continue;
-    transfer_mark_[tslot] = mark_epoch_;
-    Transfer& t = transfer_pool_[tslot];
+  // queries, completion prediction, byte integration) reads.
+  for (Transfer& t : transfer_pool_) {
+    if (t.id == 0) continue;  // a free slot
     Rate sum = 0.0;
     for (const std::uint32_t member : t.flows) sum += flow_pool_[member].rate;
     t.cached_rate = sum;
   }
 
   ++component_solves_;
-  flows_solved_total_ += c.flows.size();
-  last_solve_flows_ = c.flows.size();
-  max_solve_flows_ = std::max(max_solve_flows_, c.flows.size());
-  solve_size_gauge_->set(static_cast<double>(c.flows.size()));
-}
-
-void FluidNetwork::solve_dirty_components() {
-  std::swap(dirty_comps_, dirty_scratch_);
-  dirty_comps_.clear();
-  for (const std::uint32_t cid : dirty_scratch_) {
-    if (!comp_pool_[cid].live || !comp_pool_[cid].dirty) continue;  // merged away
-    solve_component(cid);
-    comp_pool_[cid].dirty = false;
-  }
-  dirty_scratch_.clear();
-  // Resources with no flows whose background/capacity/down state changed:
-  // the legacy solver refreshed every gauge after each solve, so mirror
-  // that for the ones no component covers.
-  for (Resource* res : pending_res_) update_resource_gauge(res);
-  pending_res_.clear();
+  flows_solved_total_ += entries_scratch_.size();
+  max_solve_flows_ = std::max(max_solve_flows_, entries_scratch_.size());
 }
 
 // ---- events ----
@@ -656,7 +510,14 @@ void FluidNetwork::touch() {
     if (rates_dirty_) {
       rates_dirty_ = false;
       ++reallocations_;
-      solve_dirty_components();
+      if (solve_dirty_) {
+        solve_dirty_ = false;
+        solve();
+      }
+      // Flowless resources whose capacity, background or down state changed
+      // get their gauge here, as every crossed one did in the solve.
+      for (Resource* res : pending_res_) update_resource_gauge(res);
+      pending_res_.clear();
       schedule_next_event();
     }
   } while (dirty_);

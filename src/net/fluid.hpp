@@ -17,41 +17,39 @@
 // periodic poll that gives the bandwidth samplers their 100 ms resolution
 // (Table 1 reports a peak over 0.1 s).
 //
-// The solver is built for a hundred thousand concurrent flows:
+// The solver is sized to the worlds that run: a few dozen concurrent
+// streams sharing one topology (the paper's SC'2000 run had 32).
 //
-//  * Component partitioning — the flow/resource bipartite graph is kept
-//    partitioned into components.  A mutation dirties only the component it
-//    lands in, and a solve walks only that component's flows, so the solver
-//    cost of a cap change on one island of the network is bounded by the
-//    island's size, not the fleet's.  Components merge eagerly when a new
-//    flow bridges them and never split: each resource counts the flows
-//    crossing it, drops out of its component when the count reaches zero,
-//    and a component retires when its last flow leaves.
+//  * One solve over every live flow — a mutation that affects rates marks
+//    them dirty, and the next touch solves all live flows together.  Each
+//    resource counts the flows crossing it: a capacity, background or down
+//    change on a resource no flow crosses only refreshes its gauge, and a
+//    resource's usage returns to zero when its last flow leaves.
 //  * Flat arena storage — flows live in one contiguous pool, their paths in
 //    one shared id array (offset + length per flow), transfers in a slotted
-//    pool; a component re-solve walks contiguous memory and performs zero
-//    heap allocations in steady state.
+//    pool; a solve walks contiguous memory and performs zero heap
+//    allocations in steady state.
 //  * One transfer path — every transfer is integrated at every touch on one
 //    shared clock, surfaces progress in id order at every poll tick, and
 //    completes through one shared next-completion event.  Progress and
 //    completion notices are queued as plain records and delivered once the
 //    network is consistent; a transfer cancelled by an earlier callback gets
 //    none of its queued notices.
-//  * Incremental reallocation — a rates-dirty flag plus per-component dirty
-//    flags track whether any flow/cap/capacity/background changed since the
-//    last solve.  Poll ticks and pure-progress touches integrate byte
-//    counts and fire progress callbacks without re-running the solver.
+//  * Incremental reallocation — a rates-dirty flag tracks whether any
+//    flow/cap/capacity/background changed since the last solve.  Poll ticks
+//    and pure-progress touches integrate byte counts and fire progress
+//    callbacks without re-running the solver.
 //  * Coalesced bookkeeping — each transfer caches its aggregate rate
 //    (refreshed by the solver), utilization gauges are written only when a
 //    value changes, and batch()/set_transfer_cap() fold multi-mutation
 //    updates into one solve.
 //
-// Within one component the water-filling arithmetic is iteration-order
-// independent, so a single-component world produces bit-identical rates to
-// the pre-partitioned global solver — the flight-recorder digests of the
-// checked-in bench baselines replay unchanged.  The pre-dense solver is
-// retained verbatim in net/fluid_reference.hpp; the property tests assert
-// rate-vector equivalence and bench_fluid_scale tracks the speedup.
+// The water-filling arithmetic does not depend on the order the flows are
+// walked in (a round's minimum is order-free, and every unfrozen flow gets
+// the same delta), so the solver may walk its pools in slot order.  The
+// pre-dense solver is retained verbatim in net/fluid_reference.hpp; the
+// property tests assert rate-vector equivalence and bench_fluid_scale
+// tracks the speedup.
 #pragma once
 
 #include <cstdint>
@@ -211,27 +209,12 @@ class FluidNetwork {
   /// How many utilization gauge writes actually happened (value changes).
   std::uint64_t util_gauge_updates() const { return util_gauge_updates_; }
 
-  /// Components currently live over the flow/resource graph (mirrored
-  /// into the `net_components` gauge).
-  std::size_t components() const { return live_components_; }
-  /// Individual component solves (one touch may solve several components).
+  /// Solves run so far, each over every live flow.
   std::uint64_t component_solves() const { return component_solves_; }
-  /// Total flows walked by all component solves — the real work metric.
-  /// An isolated mutation advances this by the touched component's size,
-  /// not the network's flow count.
+  /// Total flows walked by all solves — the real work metric.
   std::uint64_t flows_solved_total() const { return flows_solved_total_; }
-  /// Flow count of the most recent component solve.
-  std::size_t last_solve_flows() const { return last_solve_flows_; }
-  /// Largest component solved since the last reset_solve_stats().
+  /// Flow count of the largest solve so far.
   std::size_t max_solve_flows() const { return max_solve_flows_; }
-  void reset_solve_stats() {
-    last_solve_flows_ = 0;
-    max_solve_flows_ = 0;
-  }
-  /// Whether two resources currently sit in the same component (false when
-  /// either carries no flow).  Components never split, so resources that
-  /// were once connected stay together while both carry flows.
-  bool same_component(const Resource* a, const Resource* b) const;
 
  private:
   static constexpr std::uint32_t kNone = 0xffffffffu;
@@ -241,9 +224,7 @@ class FluidNetwork {
   struct Flow {
     std::uint32_t path_begin = 0;  // offset into path_pool_
     std::uint32_t path_len = 0;
-    std::uint32_t transfer = kNone;       // transfer pool slot
-    std::uint32_t comp = kNone;           // owning component
-    std::uint32_t index_in_comp = kNone;  // position in comp's flow list
+    std::uint32_t transfer = kNone;  // transfer pool slot; kNone: free
     Rate cap = kUnlimitedRate;
     Rate rate = 0.0;
     double delivered = 0.0;  // bytes carried by this flow
@@ -264,15 +245,6 @@ class FluidNetwork {
     }
   };
 
-  /// A union of connected pieces of the flow/resource bipartite graph:
-  /// merged when a flow bridges two, never split.
-  struct Component {
-    std::vector<std::uint32_t> flows;      // flow pool slots
-    std::vector<std::uint32_t> resources;  // distinct resource ids
-    bool live = false;
-    bool dirty = false;  // needs a re-solve
-  };
-
   /// A progress and/or completion notice, queued by touch() and delivered
   /// once the network is consistent.
   struct Notice {
@@ -284,22 +256,16 @@ class FluidNetwork {
 
   // ---- internals ----
 
-  std::uint32_t alloc_flow(const FlowSpec& spec);
+  /// A flow of transfer slot `tslot`, counted on every resource it crosses.
+  std::uint32_t alloc_flow(const FlowSpec& spec, std::uint32_t tslot);
   void free_flow(std::uint32_t fslot);
   std::uint32_t path_alloc(std::uint32_t len);
-  std::uint32_t alloc_comp();
-  void free_comp(std::uint32_t cid);
-  void mark_dirty(std::uint32_t cid);
-  /// Attach a freshly created flow to the component structure, merging every
-  /// component its path bridges (smaller absorbed into largest).
-  void assign_flow_component(std::uint32_t fslot);
-  /// Detach a flow on removal, orphaning every resource no flow crosses
-  /// any more and retiring the component once it holds no flow.
+  /// Uncount a flow on removal, zeroing the usage of every resource no flow
+  /// crosses any more.
   void remove_flow(std::uint32_t fslot);
 
   void integrate();  // advance every transfer to now on the shared clock
-  void solve_dirty_components();
-  void solve_component(std::uint32_t cid);
+  void solve();  // progressive filling over every live flow
   void update_resource_gauge(Resource* res);
   void schedule_next_event();  // the shared next-completion event
   void erase_transfer_slot(std::uint32_t tslot);
@@ -308,6 +274,8 @@ class FluidNetwork {
   /// Record a rate-affecting change; solves immediately unless inside
   /// batch() or a touch already in flight.
   void on_mutation();
+  /// A resource's capacity, background or down state changed.
+  void on_resource_change(Resource* resource);
 
   sim::Simulation& sim_;
   SimDuration poll_interval_;
@@ -321,16 +289,11 @@ class FluidNetwork {
   std::map<std::uint32_t, std::vector<std::uint32_t>> path_free_;  // by length
   std::vector<Transfer> transfer_pool_;
   std::vector<std::uint32_t> transfer_free_;
-  std::vector<Component> comp_pool_;
-  std::vector<std::uint32_t> comp_free_;
 
   // Indexes.
   std::map<TransferId, std::uint32_t> index_;  // transfers in id order
-  std::vector<std::uint32_t> res_comp_;     // resource id -> component
   std::vector<std::uint32_t> res_flows_;    // resource id -> flows crossing it
   std::vector<double> foreground_;          // resource id -> allocated rate
-  std::vector<std::uint32_t> dirty_comps_;
-  std::size_t live_components_ = 0;
 
   TransferId next_id_ = 1;
   SimTime integrated_at_ = 0;  // the shared integration clock
@@ -339,16 +302,14 @@ class FluidNetwork {
   bool in_touch_ = false;
   bool dirty_ = false;        // re-run the touch loop (re-entrant mutation)
   bool rates_dirty_ = false;  // some flow/cap/capacity/background changed
+  bool solve_dirty_ = false;  // ...on a flow or on a resource flows cross
   int batch_depth_ = 0;
   std::uint64_t reallocations_ = 0;
   std::uint64_t touches_ = 0;
   std::uint64_t util_gauge_updates_ = 0;
   std::uint64_t component_solves_ = 0;
   std::uint64_t flows_solved_total_ = 0;
-  std::size_t last_solve_flows_ = 0;
   std::size_t max_solve_flows_ = 0;
-  obs::Gauge* components_gauge_ = nullptr;  // net_components
-  obs::Gauge* solve_size_gauge_ = nullptr;  // net_component_solve_size
 
   // Solver scratch, reused across solves (indexed by resource id where
   // applicable) — steady-state solves never allocate.
@@ -357,15 +318,10 @@ class FluidNetwork {
     bool frozen = false;
   };
   std::vector<SolverEntry> entries_scratch_;
+  std::vector<std::uint32_t> res_scratch_;  // ids of resources flows cross
   std::vector<double> usage_scratch_;
   std::vector<double> cap_scratch_;
   std::vector<int> unfrozen_scratch_;
-  // Epoch-marked scratch (avoids O(pool) clears per solve).
-  std::vector<std::uint64_t> transfer_mark_;
-  std::vector<std::uint64_t> comp_mark_;
-  std::uint64_t mark_epoch_ = 0;
-  std::vector<std::uint32_t> merge_scratch_;     // distinct comps of a path
-  std::vector<std::uint32_t> dirty_scratch_;     // solve worklist
   std::vector<Resource*> pending_res_;  // flowless resources with gauge edits
   // Touch scratch (safe to reuse: touch never runs re-entrantly).
   std::vector<Notice> notices_;

@@ -336,6 +336,20 @@ struct RequestManager::Worker : std::enable_shared_from_this<Worker> {
     });
   }
 
+  /// The RM is going away: stop without any completion logic, and drop
+  /// the fetch, whose callbacks and GridFTP op would otherwise keep this
+  /// worker alive in a cycle.  Every worker of the RM is terminal first, so
+  /// a completion the abort sets off reaches none of them.  The spans close
+  /// here too: pending events may keep the worker until the simulation,
+  /// and its tracer, are gone.
+  void abandon() {
+    poller.cancel();
+    if (fetch) fetch->abort();  // its done callback meets a terminal worker
+    fetch.reset();
+    phase.end();
+    span.end();
+  }
+
   void finish(Status status) {
     if (terminal) return;
     terminal = true;
@@ -391,6 +405,21 @@ struct RequestManager::Worker : std::enable_shared_from_this<Worker> {
   }
 };
 
+RequestManager::~RequestManager() {
+  std::vector<std::shared_ptr<Worker>> live;
+  for (const auto& weak : jobs_) {
+    const auto job = weak.lock();
+    if (!job) continue;
+    for (auto& worker : job->workers) {
+      if (worker == nullptr) continue;
+      worker->terminal = true;
+      live.push_back(std::move(worker));
+    }
+    job->workers.clear();  // each worker holds its job: break that cycle
+  }
+  for (const auto& worker : live) worker->abandon();
+}
+
 void RequestManager::Job::pump() {
   while (running < options.max_concurrent && next_index < files.size()) {
     ++running;
@@ -426,6 +455,8 @@ void RequestManager::submit(std::vector<FileRequest> files,
                             RequestOptions options,
                             std::function<void(RequestResult)> done) {
   auto job = std::make_shared<Job>();
+  std::erase_if(jobs_, [](const auto& weak) { return weak.expired(); });
+  jobs_.push_back(job);
   job->rm = this;
   job->options = std::move(options);
   job->files = std::move(files);

@@ -92,6 +92,12 @@ class RequestManager {
                  gridftp::GridFtpClient& ftp,
                  TransferMonitor* monitor = nullptr,
                  BreakerConfig breaker = {});
+  /// Work still in flight is abandoned, not completed: no file outcome and
+  /// no `done` callback fires, and no reference cycle keeps a worker alive.
+  ~RequestManager();
+
+  RequestManager(const RequestManager&) = delete;
+  RequestManager& operator=(const RequestManager&) = delete;
 
   /// Fetch a set of logical files concurrently.  `done` fires once every
   /// file reached a terminal state.
@@ -115,6 +121,7 @@ class RequestManager {
   gridftp::GridFtpClient& ftp_;
   TransferMonitor* monitor_;
   ReplicaHealthRegistry health_;
+  std::vector<std::weak_ptr<Job>> jobs_;  // submitted; expired ones pruned
 };
 
 }  // namespace esg::rm

@@ -2,8 +2,9 @@
 // against the retained reference water-filling implementation on randomized
 // topologies under churn (cap changes, resource down/up, flow additions,
 // capacity and background edits), the steady-state fast path (poll ticks
-// must never invoke the solver), mutation coalescing, and component
-// partitioning.
+// must never invoke the solver), mutation coalescing, and the per-resource
+// flow counts (idle-resource edits solve nothing; a resource's usage clears
+// when its last flow leaves).
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -292,122 +293,41 @@ TEST(FluidScale, FlowTransferredClampedToPool) {
   EXPECT_FALSE(fluid.transfer_active(id));
 }
 
-// ---------- component partitioning ----------
+// ---------- per-resource flow counts ----------
 
-namespace {
-
-// Two disjoint two-resource islands with one intra-island transfer each.
-struct TwoIslands {
-  en::Resource* a1;
-  en::Resource* a2;
-  en::Resource* b1;
-  en::Resource* b2;
-  en::TransferId ta;
-  en::TransferId tb;
-};
-
-TwoIslands make_two_islands(en::FluidNetwork& fluid) {
-  TwoIslands w;
-  w.a1 = fluid.add_resource("a1", 1'000'000);
-  w.a2 = fluid.add_resource("a2", 2'000'000);
-  w.b1 = fluid.add_resource("b1", 3'000'000);
-  w.b2 = fluid.add_resource("b2", 4'000'000);
-  w.ta = fluid.start_transfer({en::FlowSpec{{w.a1, w.a2}, en::kUnlimitedRate},
-                               en::FlowSpec{{w.a2}, 600'000}},
-                              en::kUnboundedBytes, {});
-  w.tb = fluid.start_transfer({en::FlowSpec{{w.b1, w.b2}, en::kUnlimitedRate}},
-                              en::kUnboundedBytes, {});
-  return w;
-}
-
-}  // namespace
-
-TEST(FluidComponents, IsolatedMutationTouchesOnlyItsIsland) {
+TEST(FluidScale, IdleResourceMutationSolvesNothing) {
+  // A capacity, background or down change on a resource no flow crosses
+  // moves no rate: its gauge updates, and nothing is solved.
   es::Simulation sim;
   en::FluidNetwork fluid(sim);
-  const TwoIslands w = make_two_islands(fluid);
+  auto* busy = fluid.add_resource("busy", 1'000'000);
+  auto* idle = fluid.add_resource("idle", 2'000'000);
+  const auto id = fluid.start_transfer(
+      {en::FlowSpec{{busy}, en::kUnlimitedRate}}, en::kUnboundedBytes, {});
+  const double rate = fluid.current_rate(id);
+  const std::uint64_t solves = fluid.component_solves();
+  const std::uint64_t solved = fluid.flows_solved_total();
 
-  EXPECT_EQ(fluid.components(), 2u);
-  EXPECT_TRUE(fluid.same_component(w.a1, w.a2));
-  EXPECT_TRUE(fluid.same_component(w.b1, w.b2));
-  EXPECT_FALSE(fluid.same_component(w.a1, w.b1));
+  fluid.set_background(idle, 500'000);
+  EXPECT_DOUBLE_EQ(idle->utilization(), 0.25);
+  fluid.set_capacity(idle, 1'000'000);
+  EXPECT_DOUBLE_EQ(idle->utilization(), 0.5);
+  fluid.set_down(idle, true);
+  EXPECT_TRUE(idle->down());
+  fluid.batch([&] {
+    fluid.set_down(idle, false);
+    fluid.set_background(idle, 750'000);
+    fluid.set_capacity(idle, 3'000'000);
+  });
+  EXPECT_DOUBLE_EQ(idle->utilization(), 0.25);
 
-  // Island B's rates must not move — not even in the last bit — when a
-  // mutation lands in island A: B's component is never re-solved.
-  const double b_rate_before = fluid.flow_rate(w.tb, 0);
-  fluid.reset_solve_stats();
-  const std::uint64_t solved_before = fluid.flows_solved_total();
-
-  fluid.set_flow_cap(w.ta, 1, 400'000);
-
-  EXPECT_EQ(fluid.last_solve_flows(), 2u)
-      << "the solve must walk island A's two flows only";
-  EXPECT_EQ(fluid.max_solve_flows(), 2u);
-  EXPECT_EQ(fluid.flows_solved_total(), solved_before + 2);
-  EXPECT_EQ(fluid.flow_rate(w.tb, 0), b_rate_before)
-      << "island B's rate vector must be bitwise untouched";
-  EXPECT_NEAR(fluid.flow_rate(w.ta, 1), 400'000.0, 1.0);
+  EXPECT_EQ(fluid.component_solves(), solves);
+  EXPECT_EQ(fluid.flows_solved_total(), solved);
+  EXPECT_EQ(fluid.current_rate(id), rate);
+  EXPECT_DOUBLE_EQ(busy->utilization(), 1.0);
 }
 
-TEST(FluidComponents, BridgeFlowMergesIslands) {
-  es::Simulation sim;
-  en::FluidNetwork fluid(sim);
-  const TwoIslands w = make_two_islands(fluid);
-  ASSERT_EQ(fluid.components(), 2u);
-
-  // A flow crossing a2 and b1 welds the two islands into one component.
-  const auto bridge = fluid.start_transfer(
-      {en::FlowSpec{{w.a2, w.b1}, en::kUnlimitedRate}}, en::kUnboundedBytes,
-      {});
-  EXPECT_EQ(fluid.components(), 1u);
-  EXPECT_TRUE(fluid.same_component(w.a1, w.b2));
-
-  // A mutation anywhere now solves the merged component (4 flows).
-  fluid.reset_solve_stats();
-  fluid.set_flow_cap(w.ta, 1, 500'000);
-  EXPECT_EQ(fluid.last_solve_flows(), 4u);
-  (void)bridge;
-}
-
-TEST(FluidComponents, RemovingBridgeLeavesIslandsMerged) {
-  es::Simulation sim;
-  en::FluidNetwork fluid(sim);
-  const TwoIslands w = make_two_islands(fluid);
-  en::Resource* x = fluid.add_resource("x", 5'000'000);
-  const auto bridge = fluid.start_transfer(
-      {en::FlowSpec{{w.a2, x, w.b1}, en::kUnlimitedRate}},
-      en::kUnboundedBytes, {});
-  ASSERT_EQ(fluid.components(), 1u);
-  ASSERT_GT(x->utilization(), 0.0);
-
-  fluid.cancel_transfer(bridge);
-
-  // Components never split: the islands stay welded, but the resource only
-  // the bridge crossed drops out with its usage zeroed.
-  EXPECT_EQ(fluid.components(), 1u);
-  EXPECT_TRUE(fluid.same_component(w.a1, w.b2));
-  EXPECT_FALSE(fluid.same_component(x, w.a2));
-  EXPECT_FALSE(fluid.same_component(x, w.b1));
-  EXPECT_EQ(x->utilization(), 0.0);
-
-  // Solving the merged component still gives the reference rates.
-  fluid.reset_solve_stats();
-  fluid.set_flow_cap(w.ta, 1, 300'000);
-  EXPECT_EQ(fluid.last_solve_flows(), 3u);
-  std::vector<en::ReferenceFlow> ref = {
-      {{w.a1, w.a2}, en::kUnlimitedRate, 0.0},
-      {{w.a2}, 300'000, 0.0},
-      {{w.b1, w.b2}, en::kUnlimitedRate, 0.0}};
-  en::reference_waterfill(ref);
-  EXPECT_NEAR(fluid.flow_rate(w.ta, 0), ref[0].rate,
-              rate_tolerance(ref[0].rate));
-  EXPECT_NEAR(fluid.flow_rate(w.ta, 1), ref[1].rate,
-              rate_tolerance(ref[1].rate));
-  EXPECT_NEAR(fluid.flow_rate(w.tb, 0), ref[2].rate,
-              rate_tolerance(ref[2].rate));
-}
-
-TEST(FluidComponents, SharedResourceStaysAttachedUntilLastFlowLeaves) {
+TEST(FluidScale, SharedResourceKeepsUsageUntilLastFlowLeaves) {
   es::Simulation sim;
   en::FluidNetwork fluid(sim);
   auto* p = fluid.add_resource("p", 1'000'000);
@@ -417,43 +337,24 @@ TEST(FluidComponents, SharedResourceStaysAttachedUntilLastFlowLeaves) {
       {en::FlowSpec{{p, q}, en::kUnlimitedRate}}, en::kUnboundedBytes, {});
   const auto second = fluid.start_transfer(
       {en::FlowSpec{{q, s}, en::kUnlimitedRate}}, en::kUnboundedBytes, {});
-  ASSERT_TRUE(fluid.same_component(p, s));
 
-  // q still carries the second flow: only p drops out.
+  // q still carries the second flow: only p's usage clears.
   fluid.cancel_transfer(first);
-  EXPECT_EQ(fluid.components(), 1u);
-  EXPECT_FALSE(fluid.same_component(p, q));
   EXPECT_EQ(p->utilization(), 0.0);
-  EXPECT_TRUE(fluid.same_component(q, s));
   EXPECT_NEAR(q->utilization(), 1.0, 1e-9);
   EXPECT_NEAR(fluid.current_rate(second), 1'000'000.0, 1.0);
 
-  // The last flow leaves: q and s are orphaned and the component retires.
+  // The last flow leaves: q's and s's usage clear too.
   fluid.cancel_transfer(second);
-  EXPECT_EQ(fluid.components(), 0u);
-  EXPECT_FALSE(fluid.same_component(q, s));
   EXPECT_EQ(q->utilization(), 0.0);
   EXPECT_EQ(s->utilization(), 0.0);
 }
 
-TEST(FluidComponents, CancellingLastTransferRetiresComponent) {
-  es::Simulation sim;
-  en::FluidNetwork fluid(sim);
-  const TwoIslands w = make_two_islands(fluid);
-  ASSERT_EQ(fluid.components(), 2u);
-  fluid.cancel_transfer(w.ta);
-  EXPECT_EQ(fluid.components(), 1u);
-  EXPECT_FALSE(fluid.same_component(w.a1, w.a2))
-      << "resources with no flows belong to no component";
-  fluid.cancel_transfer(w.tb);
-  EXPECT_EQ(fluid.components(), 0u);
-}
-
-// Randomized merge churn: island-local transfers come and go, and bridge
-// transfers weld islands together.  Cancelling a bridge leaves the islands
-// in one component (components never split) and orphans only the resources
-// no flow crosses any more.  After every round the full rate vector must
-// match the reference solver run over the same population.
+// Randomized topology churn: island-local transfers come and go, bridge
+// transfers join islands into one connected component of the topology, and
+// cancelling a bridge splits them again and leaves resources no flow
+// crosses.  After every round the full rate vector must match the reference
+// solver run over the same population.
 class FluidComponentChurn : public ::testing::TestWithParam<int> {};
 
 TEST_P(FluidComponentChurn, EquivalenceUnderMergeSplitChurn) {
@@ -539,7 +440,7 @@ TEST_P(FluidComponentChurn, EquivalenceUnderMergeSplitChurn) {
         start_mirrored({{std::move(path), random_cap()}});
         break;
       }
-      case 2: {  // cancel a random transfer (merged components stay merged)
+      case 2: {  // cancel a random transfer (a bridge, perhaps)
         if (mirrors.size() <= 2) break;
         const auto k = rng.uniform_int(mirrors.size());
         fluid.cancel_transfer(mirrors[k].id);
@@ -567,8 +468,6 @@ TEST_P(FluidComponentChurn, EquivalenceUnderMergeSplitChurn) {
       }
     }
     check_equivalence();
-    EXPECT_LE(fluid.components(),
-              static_cast<std::size_t>(kIslands) + mirrors.size());
   }
 }
 

@@ -319,3 +319,21 @@ TEST(Determinism, IdenticalTestbedsProduceIdenticalRuns) {
   EXPECT_NE(a, "analysis-failed");
   EXPECT_EQ(a, b);
 }
+
+// TestbedConfig::seed reaches the simulation: its Rng (the retry jitter
+// source) draws what a fresh common::Rng of the same seed draws.
+TEST(Determinism, TestbedSeedsItsSimulationRng) {
+  ::esg::esg::TestbedConfig cfg;
+  cfg.seed = 7;
+  ::esg::esg::EsgTestbed seven(cfg);
+  cfg.seed = 8;
+  ::esg::esg::EsgTestbed eight(cfg);
+  ec::Rng expected(7);
+  bool streams_differ = false;
+  for (int i = 0; i < 16; ++i) {
+    const std::uint64_t draw = seven.sim.rng().next_u64();
+    EXPECT_EQ(draw, expected.next_u64()) << "draw " << i;
+    streams_differ = streams_differ || draw != eight.sim.rng().next_u64();
+  }
+  EXPECT_TRUE(streams_differ);
+}

@@ -7,15 +7,13 @@
 # or a bench failing outright — fails the gate.
 #
 # The manifests deliberately carry only machine-independent numbers: heap
-# allocations per solve, per touch and per steady poll tick, solver-invariant
-# counters (flows walked per touch, max component solve size, live component
-# count, bounded transfers drained), and sim-time metrics
-# (sim_queue_depth/purges, net_components, net_component_solve_size) — never
-# wall-clock timings.  Every bench transfer carries progress and completion
-# callbacks, as TcpTransfer's do, so the numbers cover the one transfer path
-# every world takes.  A regression in the partitioned solver's isolation (a
-# mutation solving more than its island) or in steady-state allocation
-# discipline (a progress notice that allocates) therefore fails this gate
+# allocations per solve and per steady poll tick, solver invariants (no
+# solve during polls, the rate gap against the reference solver), and
+# sim-time metrics (sim_queue_depth/purges) — never wall-clock timings.
+# Every bench transfer carries progress and completion callbacks, as
+# TcpTransfer's do, so the numbers cover the one transfer path every world
+# takes.  A regression in the solver's steady-state allocation discipline (a
+# solve or a progress notice that allocates) therefore fails this gate
 # deterministically on any machine.
 #
 # Invoked by ctest as:
