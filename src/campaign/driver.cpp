@@ -125,9 +125,11 @@ void CampaignDriver::pump(SiteQueue& sq) {
 
 void CampaignDriver::start_task(SiteQueue& sq, std::uint32_t file_index) {
   const CampaignFile& f = catalog_.files[file_index];
-  sim_.metrics()
-      .counter("campaign_tasks_started_total", {{"site", sq.endpoint.site}})
-      .add();
+  if (sq.tasks_started == nullptr) {
+    sq.tasks_started = &sim_.metrics().counter("campaign_tasks_started_total",
+                                               {{"site", sq.endpoint.site}});
+  }
+  sq.tasks_started->add();
   if (f.sources.empty()) {
     // Defer so the completion path never runs inside pump()'s loop.
     sim_.schedule_after(0, [this, &sq, file_index] {
@@ -196,17 +198,19 @@ void CampaignDriver::task_finished(SiteQueue& sq, std::uint32_t file_index,
       t.checksum = storage::file_checksum(file.value());
     }
     manifest_.record(std::move(t));
-    sim_.metrics()
-        .histogram("campaign_file_seconds", obs::duration_boundaries(),
-                   {{"site", sq.endpoint.site}})
-        .observe(common::to_seconds(result.finished - result.started));
-    sim_.metrics()
-        .counter("campaign_files_completed_total",
-                 {{"site", sq.endpoint.site}})
-        .add();
-    sim_.metrics()
-        .counter("campaign_bytes_moved_total", {{"site", sq.endpoint.site}})
-        .add(result.total_bytes);
+    if (sq.file_seconds == nullptr) {
+      const obs::Labels site{{"site", sq.endpoint.site}};
+      auto& metrics = sim_.metrics();
+      sq.file_seconds = &metrics.histogram("campaign_file_seconds",
+                                           obs::duration_boundaries(), site);
+      sq.files_completed =
+          &metrics.counter("campaign_files_completed_total", site);
+      sq.bytes_moved = &metrics.counter("campaign_bytes_moved_total", site);
+    }
+    sq.file_seconds->observe(
+        common::to_seconds(result.finished - result.started));
+    sq.files_completed->add();
+    sq.bytes_moved->add(result.total_bytes);
   } else {
     manifest_.record_failure({f.dataset, f.name, sq.endpoint.site,
                               result.status.error().to_string(),

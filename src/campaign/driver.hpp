@@ -94,6 +94,13 @@ class CampaignDriver {
     int active = 0;
     obs::Gauge* depth = nullptr;
     obs::Gauge* active_gauge = nullptr;
+    // Per-file series, each resolved at its first use: cells are created
+    // in event order, which fixes their ids and so the order of telemetry
+    // series and manifest entries.
+    obs::Counter* tasks_started = nullptr;
+    obs::Histogram* file_seconds = nullptr;
+    obs::Counter* files_completed = nullptr;
+    obs::Counter* bytes_moved = nullptr;
   };
 
   void pump(SiteQueue& sq);

@@ -1,9 +1,11 @@
 #include "campaign/manifest.hpp"
 
 #include <algorithm>
+#include <charconv>
 #include <cinttypes>
 #include <cstdio>
 #include <cstdlib>
+#include <iterator>
 
 #include "common/bytebuf.hpp"
 #include "obs/export.hpp"
@@ -17,10 +19,17 @@ using common::Result;
 
 namespace {
 
+// `v` as 16 lowercase hex digits.
+void append_hex64(std::string& out, std::uint64_t v) {
+  for (int shift = 60; shift >= 0; shift -= 4) {
+    out.push_back("0123456789abcdef"[(v >> shift) & 0xf]);
+  }
+}
+
 std::string hex64(std::uint64_t v) {
-  char buf[24];
-  std::snprintf(buf, sizeof buf, "%016" PRIx64, v);
-  return buf;
+  std::string out;
+  append_hex64(out, v);
+  return out;
 }
 
 std::uint64_t parse_hex64(const std::string& s) {
@@ -78,32 +87,44 @@ IntegrityReport CampaignManifest::report(std::uint64_t files_planned,
   for (const auto& t : completed) sorted.push_back(&t);
   std::sort(sorted.begin(), sorted.end(),
             [](const CompletedTransfer* a, const CompletedTransfer* b) {
-              if (a->dataset != b->dataset) return a->dataset < b->dataset;
-              if (a->file != b->file) return a->file < b->file;
+              if (const int c = a->dataset.compare(b->dataset); c != 0) {
+                return c < 0;
+              }
+              if (const int c = a->file.compare(b->file); c != 0) return c < 0;
               return a->site < b->site;
             });
-  std::string all;
-  std::string ds_buf;
+  // Each transfer is one line, "dataset\0file\0site\0bytes\0checksum\n".
+  // A dataset's checksum hashes its lines, the fingerprint all of them;
+  // each line is folded into both running hashes as it is built.
+  std::uint64_t all = common::kFnv1a64Basis;
+  std::uint64_t dataset = common::kFnv1a64Basis;
   const std::string* current = nullptr;
   auto flush = [&] {
     if (current != nullptr) {
-      r.dataset_checksums.emplace_back(*current, common::fnv1a64(ds_buf));
+      r.dataset_checksums.emplace_back(*current, dataset);
     }
-    ds_buf.clear();
+    dataset = common::kFnv1a64Basis;
   };
+  std::string line;
   for (const CompletedTransfer* t : sorted) {
     if (current == nullptr || t->dataset != *current) {
       flush();
       current = &t->dataset;
     }
-    const std::string line = t->dataset + '\0' + t->file + '\0' + t->site +
-                             '\0' + std::to_string(t->bytes) + '\0' +
-                             hex64(t->checksum) + '\n';
-    ds_buf += line;
-    all += line;
+    line.clear();
+    line.append(t->dataset).append(1, '\0');
+    line.append(t->file).append(1, '\0');
+    line.append(t->site).append(1, '\0');
+    char digits[24];
+    char* const end = std::to_chars(digits, std::end(digits), t->bytes).ptr;
+    line.append(digits, end).append(1, '\0');
+    append_hex64(line, t->checksum);
+    line.push_back('\n');
+    dataset = common::fnv1a64(line.data(), line.size(), dataset);
+    all = common::fnv1a64(line.data(), line.size(), all);
   }
   flush();
-  r.fingerprint = common::fnv1a64(all);
+  r.fingerprint = all;
   return r;
 }
 

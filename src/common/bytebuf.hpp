@@ -155,9 +155,14 @@ class ByteReader {
   std::size_t pos_ = 0;
 };
 
+/// FNV-1a's 64-bit offset basis: the hash of no bytes.
+inline constexpr std::uint64_t kFnv1a64Basis = 0xcbf29ce484222325ULL;
+
 /// FNV-1a 64-bit hash — used for content tags and the toy-PKI signature.
+/// Passing one call's result as the next call's `seed` hashes the two
+/// inputs as if concatenated.
 std::uint64_t fnv1a64(const void* data, std::size_t n,
-                      std::uint64_t seed = 0xcbf29ce484222325ULL);
+                      std::uint64_t seed = kFnv1a64Basis);
 std::uint64_t fnv1a64(std::string_view s);
 
 }  // namespace esg::common

@@ -157,7 +157,11 @@ struct GridFtpClient::Op : TransferHandle,
         return fail(Error{Errc::io_error,
                           "checksum mismatch on " + local_name});
       }
-      sim().metrics().counter("gridftp_checksums_verified_total").add();
+      if (client->metric_checksums_verified_ == nullptr) {
+        client->metric_checksums_verified_ =
+            &sim().metrics().counter("gridftp_checksums_verified_total");
+      }
+      client->metric_checksums_verified_->add();
       result.checksum_verified = true;
     }
     finished = true;
@@ -306,8 +310,8 @@ struct GridFtpClient::Op : TransferHandle,
       client->metric_channel_setups_->add();
     }
     span.set_attr("warm_channel", warm ? "true" : "false");
-    channel_bytes = &sim().metrics().counter("gridftp_channel_bytes_total",
-                                             {{"server", server_key()}});
+    channel_bytes =
+        &client->channel_bytes(kind == Kind::put ? *dst_host : *src_host);
 
     // For a fresh GET, materialize the growing local file so size polling
     // (the request manager's monitor) observes arrival.
@@ -421,6 +425,15 @@ GridFtpClient::GridFtpClient(rpc::Orb& orb, const net::Host& local_host,
   metric_auth_ = &metrics.counter("gridftp_auth_handshakes_total");
   metric_channel_setups_ = &metrics.counter("gridftp_data_channel_setups_total");
   metric_channels_reused_ = &metrics.counter("gridftp_channels_reused_total");
+}
+
+obs::Counter& GridFtpClient::channel_bytes(const net::Host& server) {
+  obs::Counter*& counter = channel_bytes_[&server];
+  if (counter == nullptr) {
+    counter = &simulation().metrics().counter("gridftp_channel_bytes_total",
+                                              {{"server", server.name()}});
+  }
+  return *counter;
 }
 
 void GridFtpClient::ensure_session(

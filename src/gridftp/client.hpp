@@ -117,6 +117,8 @@ class GridFtpClient {
   void ensure_session(const net::Host& server, const TransferOptions& options,
                       std::function<void(common::Result<std::uint64_t>)> done);
   bool channel_is_warm(const std::string& server, int streams) const;
+  /// `gridftp_channel_bytes_total{server}`, created on first use.
+  obs::Counter& channel_bytes(const net::Host& server);
 
   rpc::Orb& orb_;
   const net::Host& local_;
@@ -136,6 +138,10 @@ class GridFtpClient {
   obs::Counter* metric_auth_ = nullptr;
   obs::Counter* metric_channel_setups_ = nullptr;
   obs::Counter* metric_channels_reused_ = nullptr;
+  // Resolved at first use: cells are created in event order, which fixes
+  // their ids and so the order of telemetry series and manifest entries.
+  obs::Counter* metric_checksums_verified_ = nullptr;
+  std::map<const net::Host*, obs::Counter*> channel_bytes_;  // by server
 };
 
 }  // namespace esg::gridftp

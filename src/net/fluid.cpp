@@ -24,27 +24,23 @@ FluidNetwork::~FluidNetwork() {
 }
 
 Resource* FluidNetwork::add_resource(std::string name, Rate capacity) {
-  auto res = std::make_unique<Resource>(name, capacity);
+  assert(std::none_of(resources_.begin(), resources_.end(),
+                      [&](const auto& r) { return r->name() == name; }) &&
+         "duplicate resource name");
+  auto res = std::make_unique<Resource>(std::move(name), capacity);
   Resource* ptr = res.get();
-  ptr->id_ = static_cast<std::uint32_t>(resources_by_id_.size());
+  ptr->id_ = static_cast<std::uint32_t>(resources_.size());
   ptr->util_gauge_ = &sim_.metrics().gauge("net_resource_utilization",
                                            {{"resource", ptr->name()}});
-  auto [it, inserted] = resources_.emplace(std::move(name), std::move(res));
-  assert(inserted && "duplicate resource name");
-  (void)it;
-  resources_by_id_.push_back(ptr);
+  resources_.push_back(std::move(res));
   res_flows_.push_back(0);
   foreground_.push_back(0.0);
   // Per-resource solver scratch, indexed by id, grows here.
   usage_scratch_.push_back(0.0);
   cap_scratch_.push_back(0.0);
   unfrozen_scratch_.push_back(0);
+  saturated_scratch_.push_back(0);
   return ptr;
-}
-
-Resource* FluidNetwork::find_resource(const std::string& name) {
-  auto it = resources_.find(name);
-  return it == resources_.end() ? nullptr : it->second.get();
 }
 
 void FluidNetwork::on_mutation() {
@@ -89,10 +85,9 @@ void FluidNetwork::set_capacity(Resource* resource, Rate capacity) {
 
 std::uint32_t FluidNetwork::path_alloc(std::uint32_t len) {
   if (len == 0) return 0;
-  auto it = path_free_.find(len);
-  if (it != path_free_.end() && !it->second.empty()) {
-    const std::uint32_t begin = it->second.back();
-    it->second.pop_back();
+  if (len < path_free_.size() && !path_free_[len].empty()) {
+    const std::uint32_t begin = path_free_[len].back();
+    path_free_[len].pop_back();
     return begin;
   }
   const auto begin = static_cast<std::uint32_t>(path_pool_.size());
@@ -119,14 +114,20 @@ std::uint32_t FluidNetwork::alloc_flow(const FlowSpec& spec,
   for (std::uint32_t k = 0; k < f.path_len; ++k) {
     const std::uint32_t rid = spec.path[k]->id();
     path_pool_[f.path_begin + k] = rid;
-    ++res_flows_[rid];
+    // Round 1 of a solve reads its usages from sums_scratch_ by count.
+    if (++res_flows_[rid] >= sums_scratch_.size()) {
+      sums_scratch_.resize(res_flows_[rid] + 1);
+    }
   }
   return fslot;
 }
 
 void FluidNetwork::free_flow(std::uint32_t fslot) {
   Flow& f = flow_pool_[fslot];
-  if (f.path_len > 0) path_free_[f.path_len].push_back(f.path_begin);
+  if (f.path_len > 0) {
+    if (f.path_len >= path_free_.size()) path_free_.resize(f.path_len + 1);
+    path_free_[f.path_len].push_back(f.path_begin);
+  }
   f = Flow{};
   flow_free_.push_back(fslot);
 }
@@ -138,13 +139,26 @@ void FluidNetwork::remove_flow(std::uint32_t fslot) {
     const std::uint32_t rid = path_pool_[f.path_begin + k];
     if (--res_flows_[rid] > 0) continue;
     foreground_[rid] = 0.0;
-    update_resource_gauge(resources_by_id_[rid]);
+    update_resource_gauge(resources_[rid].get());
   }
   free_flow(fslot);
   solve_dirty_ = true;
 }
 
 // ---- transfers ----
+
+std::vector<std::uint32_t>::const_iterator FluidNetwork::live_at(
+    TransferId id) const {
+  return std::lower_bound(live_.begin(), live_.end(), id,
+                          [this](std::uint32_t tslot, TransferId key) {
+                            return transfer_pool_[tslot].id < key;
+                          });
+}
+
+std::uint32_t FluidNetwork::slot_of(TransferId id) const {
+  const auto it = live_at(id);
+  return it != live_.end() && transfer_pool_[*it].id == id ? *it : kNone;
+}
 
 TransferId FluidNetwork::start_transfer(std::vector<FlowSpec> flows,
                                         Bytes total,
@@ -169,17 +183,16 @@ TransferId FluidNetwork::start_transfer(std::vector<FlowSpec> flows,
   t.flows.reserve(flows.size());
   for (const auto& spec : flows) t.flows.push_back(alloc_flow(spec, tslot));
   const TransferId id = t.id;
-  index_.emplace(id, tslot);
+  live_.push_back(tslot);  // ids only grow: the list stays in id order
   on_mutation();
   // A zero-byte transfer may already have completed inside touch().
-  if (!index_.empty()) ensure_polling();
+  if (!live_.empty()) ensure_polling();
   return id;
 }
 
 Bytes FluidNetwork::cancel_transfer(TransferId id) {
-  auto it = index_.find(id);
-  if (it == index_.end()) return 0;
-  const std::uint32_t tslot = it->second;
+  const std::uint32_t tslot = slot_of(id);
+  if (tslot == kNone) return 0;
   // Account bytes up to this instant before dropping the transfer.
   integrate();
   const auto delivered =
@@ -192,16 +205,16 @@ Bytes FluidNetwork::cancel_transfer(TransferId id) {
 void FluidNetwork::erase_transfer_slot(std::uint32_t tslot) {
   Transfer& t = transfer_pool_[tslot];
   for (const std::uint32_t fslot : t.flows) remove_flow(fslot);
-  index_.erase(t.id);
+  live_.erase(live_at(t.id));
   t = Transfer{};
   transfer_free_.push_back(tslot);
 }
 
 void FluidNetwork::set_flow_cap(TransferId id, std::size_t flow_index,
                                 Rate cap) {
-  auto it = index_.find(id);
-  if (it == index_.end()) return;
-  Transfer& t = transfer_pool_[it->second];
+  const std::uint32_t tslot = slot_of(id);
+  if (tslot == kNone) return;
+  Transfer& t = transfer_pool_[tslot];
   assert(flow_index < t.flows.size());
   Flow& f = flow_pool_[t.flows[flow_index]];
   if (f.cap == cap) return;
@@ -210,9 +223,9 @@ void FluidNetwork::set_flow_cap(TransferId id, std::size_t flow_index,
 }
 
 void FluidNetwork::set_transfer_cap(TransferId id, Rate cap) {
-  auto it = index_.find(id);
-  if (it == index_.end()) return;
-  Transfer& t = transfer_pool_[it->second];
+  const std::uint32_t tslot = slot_of(id);
+  if (tslot == kNone) return;
+  Transfer& t = transfer_pool_[tslot];
   bool changed = false;
   for (const std::uint32_t fslot : t.flows) {
     Flow& f = flow_pool_[fslot];
@@ -225,21 +238,20 @@ void FluidNetwork::set_transfer_cap(TransferId id, Rate cap) {
 }
 
 void FluidNetwork::add_flow(TransferId id, FlowSpec flow) {
-  auto it = index_.find(id);
-  if (it == index_.end()) return;
-  const std::uint32_t tslot = it->second;
+  const std::uint32_t tslot = slot_of(id);
+  if (tslot == kNone) return;
   transfer_pool_[tslot].flows.push_back(alloc_flow(flow, tslot));
   on_mutation();
 }
 
 bool FluidNetwork::transfer_active(TransferId id) const {
-  return index_.count(id) > 0;
+  return slot_of(id) != kNone;
 }
 
 Bytes FluidNetwork::transferred(TransferId id) const {
-  auto it = index_.find(id);
-  if (it == index_.end()) return 0;
-  const Transfer& t = transfer_pool_[it->second];
+  const std::uint32_t tslot = slot_of(id);
+  if (tslot == kNone) return 0;
+  const Transfer& t = transfer_pool_[tslot];
   // Include bytes accrued since the last integration.
   const double dt = common::to_seconds(sim_.now() - integrated_at_);
   double v = t.delivered + t.cached_rate * dt;
@@ -249,9 +261,9 @@ Bytes FluidNetwork::transferred(TransferId id) const {
 
 Bytes FluidNetwork::flow_transferred(TransferId id,
                                      std::size_t flow_index) const {
-  auto it = index_.find(id);
-  if (it == index_.end()) return 0;
-  const Transfer& t = transfer_pool_[it->second];
+  const std::uint32_t tslot = slot_of(id);
+  if (tslot == kNone) return 0;
+  const Transfer& t = transfer_pool_[tslot];
   if (flow_index >= t.flows.size()) return 0;
   const Flow& f = flow_pool_[t.flows[flow_index]];
   const double dt = common::to_seconds(sim_.now() - integrated_at_);
@@ -263,14 +275,14 @@ Bytes FluidNetwork::flow_transferred(TransferId id,
 }
 
 Rate FluidNetwork::current_rate(TransferId id) const {
-  auto it = index_.find(id);
-  return it == index_.end() ? 0.0 : transfer_pool_[it->second].cached_rate;
+  const std::uint32_t tslot = slot_of(id);
+  return tslot == kNone ? 0.0 : transfer_pool_[tslot].cached_rate;
 }
 
 Rate FluidNetwork::flow_rate(TransferId id, std::size_t flow_index) const {
-  auto it = index_.find(id);
-  if (it == index_.end()) return 0.0;
-  const Transfer& t = transfer_pool_[it->second];
+  const std::uint32_t tslot = slot_of(id);
+  if (tslot == kNone) return 0.0;
+  const Transfer& t = transfer_pool_[tslot];
   if (flow_index >= t.flows.size()) return 0.0;
   return flow_pool_[t.flows[flow_index]].rate;
 }
@@ -284,7 +296,7 @@ void FluidNetwork::integrate() {
   if (now <= integrated_at_) return;
   const double dt = common::to_seconds(now - integrated_at_);
   integrated_at_ = now;
-  for (const auto& [id, tslot] : index_) {
+  for (const std::uint32_t tslot : live_) {
     Transfer& t = transfer_pool_[tslot];
     if (t.cached_rate <= 0.0) continue;
     double earned = 0.0;
@@ -322,113 +334,137 @@ void FluidNetwork::solve() {
   // resource — the classic max-min optimality condition, asserted by the
   // property tests against the retained reference implementation
   // (net/fluid_reference.hpp).  The walk order does not matter: a round's
-  // minimum is order-free, and every unfrozen flow adds the same delta.
-  entries_scratch_.clear();
+  // minimum is order-free, every unfrozen flow adds the same delta, and a
+  // resource's usage gains that delta once per unfrozen flow crossing it.
+  // So every unfrozen flow has the same rate, `level`, the sum of the
+  // rounds' deltas so far; a flow's rate is written when it freezes.
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  solve_flows_.clear();
+  double min_cap = kInf;  // the lowest cap of an unfrozen flow
   for (std::uint32_t fslot = 0; fslot < flow_pool_.size(); ++fslot) {
-    Flow& f = flow_pool_[fslot];
+    const Flow& f = flow_pool_[fslot];
     if (f.transfer == kNone) continue;  // a free slot
-    f.rate = 0.0;
-    entries_scratch_.push_back(SolverEntry{fslot, false});
+    min_cap = std::min(min_cap, f.cap);
+    solve_flows_.push_back(fslot);
   }
-  if (entries_scratch_.empty()) return;
+  if (solve_flows_.empty()) return;
+  const std::size_t n_flows = solve_flows_.size();
+  // Round 1: every flow is unfrozen, so each crossed resource's count is
+  // its flow count.
   res_scratch_.clear();
   for (std::uint32_t rid = 0; rid < res_flows_.size(); ++rid) {
     if (res_flows_[rid] == 0) continue;
     res_scratch_.push_back(rid);
     usage_scratch_[rid] = 0.0;
-    unfrozen_scratch_[rid] = 0;
-    cap_scratch_[rid] = resources_by_id_[rid]->effective_capacity();
-  }
-  for (const auto& e : entries_scratch_) {
-    const Flow& f = flow_pool_[e.fslot];
-    for (std::uint32_t k = 0; k < f.path_len; ++k) {
-      ++unfrozen_scratch_[path_pool_[f.path_begin + k]];
-    }
+    unfrozen_scratch_[rid] = res_flows_[rid];
+    cap_scratch_[rid] = resources_[rid]->effective_capacity();
   }
 
-  std::size_t unfrozen = entries_scratch_.size();
-  while (unfrozen > 0) {
+  double level = 0.0;
+  for (bool first_round = true;; first_round = false) {
     // The largest uniform rate increase every unfrozen flow can take.
-    double delta = std::numeric_limits<double>::infinity();
-    for (const auto& e : entries_scratch_) {
-      if (e.frozen) continue;
-      const Flow& f = flow_pool_[e.fslot];
-      delta = std::min(delta, f.cap - f.rate);
-    }
+    // Rounding is monotone, so the lowest cap's headroom is the least
+    // headroom of any unfrozen flow.
+    double delta = min_cap - level;
+    std::uint32_t max_count = 0;
     for (const std::uint32_t rid : res_scratch_) {
-      const int n = unfrozen_scratch_[rid];
-      if (n <= 0) continue;
+      const std::uint32_t n = unfrozen_scratch_[rid];
+      if (n == 0) continue;
+      max_count = std::max(max_count, n);
       const double room = cap_scratch_[rid] - usage_scratch_[rid];
       delta = std::min(delta, room / n);
     }
     if (!std::isfinite(delta)) {
       // No cap and no resource constrains these flows; they are idle paths
       // in tests.  Freeze at an arbitrarily large rate.
-      for (auto& e : entries_scratch_) {
-        if (!e.frozen) {
-          Flow& f = flow_pool_[e.fslot];
-          f.rate = f.cap;  // cap is infinite here; harmless
-          e.frozen = true;
-        }
+      for (const std::uint32_t fslot : solve_flows_) {
+        Flow& f = flow_pool_[fslot];
+        f.rate = f.cap;  // cap is infinite here; harmless
       }
       break;
     }
     delta = std::max(0.0, delta);
     if (delta > 0.0) {
-      for (auto& e : entries_scratch_) {
-        if (e.frozen) continue;
-        Flow& f = flow_pool_[e.fslot];
-        f.rate += delta;
-        for (std::uint32_t k = 0; k < f.path_len; ++k) {
-          usage_scratch_[path_pool_[f.path_begin + k]] += delta;
+      level += delta;
+      if (first_round) {
+        // Every usage is still 0, so resources crossed by equally many
+        // flows reach the same sum: build 0 + delta + ... once per count.
+        sums_scratch_[0] = 0.0;
+        for (std::uint32_t k = 1; k <= max_count; ++k) {
+          sums_scratch_[k] = sums_scratch_[k - 1] + delta;
+        }
+        for (const std::uint32_t rid : res_scratch_) {
+          usage_scratch_[rid] = sums_scratch_[unfrozen_scratch_[rid]];
+        }
+      } else {
+        for (const std::uint32_t rid : res_scratch_) {
+          double usage = usage_scratch_[rid];
+          for (std::uint32_t k = unfrozen_scratch_[rid]; k > 0; --k) {
+            usage += delta;
+          }
+          usage_scratch_[rid] = usage;
         }
       }
     }
-    // Freeze flows at their cap or crossing a saturated resource.
-    bool any_frozen = false;
-    for (auto& e : entries_scratch_) {
-      if (e.frozen) continue;
-      Flow& f = flow_pool_[e.fslot];
-      bool freeze = f.rate >= f.cap - kRateEps;
-      if (!freeze) {
-        for (std::uint32_t k = 0; k < f.path_len; ++k) {
-          const std::uint32_t rid = path_pool_[f.path_begin + k];
-          if (usage_scratch_[rid] >= cap_scratch_[rid] - kRateEps) {
-            freeze = true;
-            break;
-          }
-        }
+    for (const std::uint32_t rid : res_scratch_) {
+      saturated_scratch_[rid] =
+          usage_scratch_[rid] >= cap_scratch_[rid] - kRateEps;
+    }
+    // Freeze flows at their cap or crossing a saturated resource: they
+    // take the level as their rate and move past `live`; the unfrozen ones
+    // stay in front of it.
+    min_cap = kInf;
+    std::size_t live = solve_flows_.size();
+    for (std::size_t i = 0; i < live;) {
+      Flow& f = flow_pool_[solve_flows_[i]];
+      bool freeze = level >= f.cap - kRateEps;
+      for (std::uint32_t k = 0; !freeze && k < f.path_len; ++k) {
+        freeze = saturated_scratch_[path_pool_[f.path_begin + k]] != 0;
       }
       if (freeze) {
-        e.frozen = true;
-        any_frozen = true;
-        --unfrozen;
-        for (std::uint32_t k = 0; k < f.path_len; ++k) {
-          --unfrozen_scratch_[path_pool_[f.path_begin + k]];
-        }
+        f.rate = level;
+        std::swap(solve_flows_[i], solve_flows_[--live]);
+      } else {
+        min_cap = std::min(min_cap, f.cap);
+        ++i;
       }
     }
-    if (!any_frozen) break;  // numerical safety: guarantee progress
+    if (live == 0) break;
+    if (live == solve_flows_.size()) {
+      // None froze (numerical safety: guarantee progress).
+      for (const std::uint32_t fslot : solve_flows_) {
+        flow_pool_[fslot].rate = level;
+      }
+      break;
+    }
+    // Only a following round reads the counts.
+    for (std::size_t i = live; i < solve_flows_.size(); ++i) {
+      const Flow& f = flow_pool_[solve_flows_[i]];
+      for (std::uint32_t k = 0; k < f.path_len; ++k) {
+        --unfrozen_scratch_[path_pool_[f.path_begin + k]];
+      }
+    }
+    solve_flows_.resize(live);
   }
 
   // Publish the foreground usage (write-on-change gauges).
   for (const std::uint32_t rid : res_scratch_) {
     foreground_[rid] = usage_scratch_[rid];
-    update_resource_gauge(resources_by_id_[rid]);
+    update_resource_gauge(resources_[rid].get());
   }
 
   // Refresh the per-transfer aggregate cache the rest of the network (rate
   // queries, completion prediction, byte integration) reads.
-  for (Transfer& t : transfer_pool_) {
-    if (t.id == 0) continue;  // a free slot
+  for (const std::uint32_t tslot : live_) {
+    Transfer& t = transfer_pool_[tslot];
     Rate sum = 0.0;
     for (const std::uint32_t member : t.flows) sum += flow_pool_[member].rate;
     t.cached_rate = sum;
   }
 
   ++component_solves_;
-  flows_solved_total_ += entries_scratch_.size();
-  max_solve_flows_ = std::max(max_solve_flows_, entries_scratch_.size());
+  flows_solved_total_ += n_flows;
+  max_solve_flows_ = std::max(max_solve_flows_, n_flows);
 }
 
 // ---- events ----
@@ -437,7 +473,7 @@ void FluidNetwork::schedule_next_event() {
   // One shared completion event, recomputed after every solve.
   next_event_.cancel();
   double earliest = std::numeric_limits<double>::infinity();
-  for (const auto& [id, tslot] : index_) {
+  for (const std::uint32_t tslot : live_) {
     const Transfer& t = transfer_pool_[tslot];
     const double rem = t.remaining();
     if (!std::isfinite(rem)) continue;
@@ -466,9 +502,9 @@ void FluidNetwork::touch() {
     // completion callbacks typically start follow-on transfers.  User
     // callbacks must not see a half-updated network, so none runs yet.
     notices_.clear();
-    for (const auto& [id, tslot] : index_) {
+    for (const std::uint32_t tslot : live_) {
       Transfer& t = transfer_pool_[tslot];
-      Notice n{id, tslot, 0, t.total >= 0.0 && t.remaining() <= kByteEps};
+      Notice n{t.id, tslot, 0, t.total >= 0.0 && t.remaining() <= kByteEps};
       const double delta = t.delivered - t.reported;
       if (delta >= 1.0 && t.callbacks.on_progress) {
         n.delta = static_cast<Bytes>(delta);
@@ -496,10 +532,14 @@ void FluidNetwork::touch() {
       // A transfer cancelled since its notice was queued gets nothing;
       // transfer ids never repeat, so a recycled slot does not match.
       if (transfer_pool_[n.tslot].id != n.id) continue;
-      // Call a copy: the callback may cancel its own transfer or start one
-      // that moves the pool.
-      const auto on_progress = transfer_pool_[n.tslot].callbacks.on_progress;
+      // Call it moved out of the pool, not copied: it may cancel its own
+      // transfer or start one that moves the pool.  It goes back while its
+      // transfer lives.
+      auto on_progress =
+          std::move(transfer_pool_[n.tslot].callbacks.on_progress);
       on_progress(n.delta, now);
+      Transfer& t = transfer_pool_[n.tslot];
+      if (t.id == n.id) t.callbacks.on_progress = std::move(on_progress);
     }
     finished_.clear();  // release what the completed callbacks captured
 
@@ -522,13 +562,13 @@ void FluidNetwork::touch() {
     }
   } while (dirty_);
   in_touch_ = false;
-  if (index_.empty()) poll_event_.cancel();
+  if (live_.empty()) poll_event_.cancel();
 }
 
 void FluidNetwork::ensure_polling() {
   if (poll_interval_ <= 0 || poll_event_.pending()) return;
   poll_event_ = sim_.schedule_every(poll_interval_, [this] {
-    if (index_.empty()) return false;  // stop ticking when idle
+    if (live_.empty()) return false;  // stop ticking when idle
     touch();
     return true;
   });

@@ -25,16 +25,26 @@
 //    resource counts the flows crossing it: a capacity, background or down
 //    change on a resource no flow crosses only refreshes its gauge, and a
 //    resource's usage returns to zero when its last flow leaves.
+//  * Rounds that work per resource — a round adds its delta to each crossed
+//    resource once per unfrozen flow crossing it, flags the resources it
+//    saturated, and freezes the flows at their cap or crossing a flag.
+//    Round 1 reads its counts from the per-resource flow counts; frozen
+//    flows leave the round's list, and their paths are uncounted only when
+//    another round follows.  Unfrozen flows share one rate, the sum of the
+//    rounds' deltas, which a flow takes when it freezes.
 //  * Flat arena storage — flows live in one contiguous pool, their paths in
 //    one shared id array (offset + length per flow), transfers in a slotted
 //    pool; a solve walks contiguous memory and performs zero heap
 //    allocations in steady state.
 //  * One transfer path — every transfer is integrated at every touch on one
 //    shared clock, surfaces progress in id order at every poll tick, and
-//    completes through one shared next-completion event.  Progress and
-//    completion notices are queued as plain records and delivered once the
-//    network is consistent; a transfer cancelled by an earlier callback gets
-//    none of its queued notices.
+//    completes through one shared next-completion event.  The live
+//    transfers are one dense list of pool slots in id order (ids only grow,
+//    so a start appends, and an id lookup is a binary search); integration,
+//    the notices, the completion event and the solver's rate refresh walk
+//    it.  Progress and completion notices are queued as plain records and
+//    delivered once the network is consistent; a transfer cancelled by an
+//    earlier callback gets none of its queued notices.
 //  * Incremental reallocation — a rates-dirty flag tracks whether any
 //    flow/cap/capacity/background changed since the last solve.  Poll ticks
 //    and pure-progress touches integrate byte counts and fire progress
@@ -45,17 +55,17 @@
 //    updates into one solve.
 //
 // The water-filling arithmetic does not depend on the order the flows are
-// walked in (a round's minimum is order-free, and every unfrozen flow gets
-// the same delta), so the solver may walk its pools in slot order.  The
-// pre-dense solver is retained verbatim in net/fluid_reference.hpp; the
-// property tests assert rate-vector equivalence and bench_fluid_scale
-// tracks the speedup.
+// walked in: a round's minimum is order-free, every unfrozen flow gets the
+// same delta, and a resource's usage gains that same delta once per
+// unfrozen flow crossing it, so the sum is the same whichever flow comes
+// first.  The rates are therefore bit-identical to the pre-dense solver,
+// retained verbatim in net/fluid_reference.hpp; the property tests assert
+// exact rate-vector equality and bench_fluid_scale tracks the speedup.
 #pragma once
 
 #include <cstdint>
 #include <functional>
 #include <limits>
-#include <map>
 #include <memory>
 #include <string>
 #include <vector>
@@ -141,8 +151,6 @@ class FluidNetwork {
   /// lifetime.  Names must be unique.
   Resource* add_resource(std::string name, Rate capacity);
 
-  Resource* find_resource(const std::string& name);
-
   /// Failure injection: a down resource passes zero bytes.
   void set_down(Resource* resource, bool down);
 
@@ -194,7 +202,7 @@ class FluidNetwork {
   /// Current rate of one member flow.
   Rate flow_rate(TransferId id, std::size_t flow_index) const;
 
-  std::size_t active_transfers() const { return index_.size(); }
+  std::size_t active_transfers() const { return live_.size(); }
 
   /// Force integration + reallocation-if-dirty now (tests use this).
   void update();
@@ -256,6 +264,10 @@ class FluidNetwork {
 
   // ---- internals ----
 
+  /// The first entry of live_ whose id is not below `id`.
+  std::vector<std::uint32_t>::const_iterator live_at(TransferId id) const;
+  /// The pool slot of live transfer `id`, or kNone.
+  std::uint32_t slot_of(TransferId id) const;
   /// A flow of transfer slot `tslot`, counted on every resource it crosses.
   std::uint32_t alloc_flow(const FlowSpec& spec, std::uint32_t tslot);
   void free_flow(std::uint32_t fslot);
@@ -279,19 +291,18 @@ class FluidNetwork {
 
   sim::Simulation& sim_;
   SimDuration poll_interval_;
-  std::map<std::string, std::unique_ptr<Resource>> resources_;
-  std::vector<Resource*> resources_by_id_;  // dense id -> resource
+  std::vector<std::unique_ptr<Resource>> resources_;  // by dense id
 
   // Arenas.
   std::vector<Flow> flow_pool_;
   std::vector<std::uint32_t> flow_free_;
   std::vector<std::uint32_t> path_pool_;  // concatenated resource-id paths
-  std::map<std::uint32_t, std::vector<std::uint32_t>> path_free_;  // by length
+  std::vector<std::vector<std::uint32_t>> path_free_;  // by path length
   std::vector<Transfer> transfer_pool_;
   std::vector<std::uint32_t> transfer_free_;
 
   // Indexes.
-  std::map<TransferId, std::uint32_t> index_;  // transfers in id order
+  std::vector<std::uint32_t> live_;  // live transfer slots, in id order
   std::vector<std::uint32_t> res_flows_;    // resource id -> flows crossing it
   std::vector<double> foreground_;          // resource id -> allocated rate
 
@@ -313,15 +324,15 @@ class FluidNetwork {
 
   // Solver scratch, reused across solves (indexed by resource id where
   // applicable) — steady-state solves never allocate.
-  struct SolverEntry {
-    std::uint32_t fslot;
-    bool frozen = false;
-  };
-  std::vector<SolverEntry> entries_scratch_;
+  std::vector<std::uint32_t> solve_flows_;  // the round's unfrozen flow slots
   std::vector<std::uint32_t> res_scratch_;  // ids of resources flows cross
   std::vector<double> usage_scratch_;
   std::vector<double> cap_scratch_;
-  std::vector<int> unfrozen_scratch_;
+  std::vector<std::uint32_t> unfrozen_scratch_;  // unfrozen flows crossing
+  std::vector<std::uint8_t> saturated_scratch_;  // saturated this round
+  // Round 1's usages by count: [k] = 0 + delta + ... (k deltas).  Sized as
+  // flows are counted, to the largest per-resource count plus one.
+  std::vector<double> sums_scratch_;
   std::vector<Resource*> pending_res_;  // flowless resources with gauge edits
   // Touch scratch (safe to reuse: touch never runs re-entrantly).
   std::vector<Notice> notices_;

@@ -12,7 +12,9 @@ namespace esg::net {
 Network::Network(sim::Simulation& simulation)
     : sim_(simulation), fluid_(simulation) {}
 
-void Network::add_site(const std::string& name) { sites_.emplace(name, true); }
+void Network::add_site(const std::string& name) {
+  sites_.emplace(name, static_cast<std::uint32_t>(sites_.size()));
+}
 
 Link* Network::add_link(const LinkConfig& config) {
   assert(sites_.count(config.site_a) && "unknown site");
@@ -42,6 +44,10 @@ Host* Network::add_host(const HostConfig& config) {
   auto host = std::make_unique<Host>();
   host->name_ = config.name;
   host->site_ = config.site;
+  // An unknown site (asserted above) joins with no links: unreachable.
+  host->site_id_ =
+      sites_.emplace(config.site, static_cast<std::uint32_t>(sites_.size()))
+          .first->second;
   host->nic_ = fluid_.add_resource("host:" + config.name + ":nic",
                                    config.nic_rate);
   host->cpu_ = fluid_.add_resource("host:" + config.name + ":cpu",
@@ -135,14 +141,18 @@ Network::Route Network::compute_route(const std::string& from,
   return route;
 }
 
-const Network::Route* Network::route_between(const std::string& site_a,
-                                             const std::string& site_b) const {
-  const auto key = std::make_pair(site_a, site_b);
-  auto it = route_cache_.find(key);
-  if (it == route_cache_.end()) {
-    it = route_cache_.emplace(key, compute_route(site_a, site_b)).first;
+const Network::Route* Network::route_between(const Host& src,
+                                             const Host& dst) const {
+  const std::size_t sites = sites_.size();
+  // A site added since the cache was laid out changes its stride.
+  if (route_cache_.size() != sites * sites) {
+    route_cache_.clear();
+    route_cache_.resize(sites * sites);
   }
-  return &it->second;
+  std::optional<Route>& route =
+      route_cache_[src.site_id_ * sites + dst.site_id_];
+  if (!route) route = compute_route(src.site_, dst.site_);
+  return &*route;
 }
 
 PathInfo Network::path(const Host& src, const Host& dst,
@@ -156,13 +166,16 @@ PathInfo Network::path(const Host& src, const Host& dst,
     info.up = !src.down_;
     return info;
   }
+  const Route* route =
+      src.site_id_ == dst.site_id_ ? nullptr : route_between(src, dst);
+  // Disk, CPU and NIC at each end, plus one resource per WAN link.
+  info.resources.reserve(6 + (route != nullptr ? route->links.size() : 0));
   if (include_disks) info.resources.push_back(src.disk_);
   info.resources.push_back(src.cpu_);
   info.resources.push_back(src.nic_);
-  if (src.site_ == dst.site_) {
+  if (route == nullptr) {
     info.latency = kLanLatency;
   } else {
-    const Route* route = route_between(src.site_, dst.site_);
     if (route->links.empty()) {
       info.up = false;  // unreachable
       return info;
@@ -185,7 +198,11 @@ PathInfo Network::path(const Host& src, const Host& dst,
 }
 
 SimDuration Network::rtt(const Host& a, const Host& b) const {
-  return 2 * path(a, b, /*include_disks=*/false).latency;
+  // path()'s latency, without building its resource list.
+  if (&a == &b) return 2 * kLocalLatency;
+  if (a.site_id_ == b.site_id_) return 2 * kLanLatency;
+  const Route* route = route_between(a, b);
+  return route->links.empty() ? 0 : 2 * (route->latency + kLanLatency);
 }
 
 void Network::set_host_down(Host& host, bool down) {

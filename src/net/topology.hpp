@@ -12,9 +12,11 @@
 // kicks in — exactly the behaviour the paper reports in Figure 8.
 #pragma once
 
+#include <cstdint>
 #include <functional>
 #include <map>
 #include <memory>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -84,6 +86,7 @@ class Host {
  private:
   friend class Network;
   std::string name_, site_;
+  std::uint32_t site_id_ = 0;  // the site's dense id (route cache key)
   Resource* nic_ = nullptr;
   Resource* cpu_ = nullptr;
   Resource* disk_ = nullptr;
@@ -159,16 +162,18 @@ class Network {
     double loss = 0.0;
   };
 
-  const Route* route_between(const std::string& site_a,
-                             const std::string& site_b) const;
+  /// The cached route from `src`'s site to `dst`'s, keyed by site ids.
+  const Route* route_between(const Host& src, const Host& dst) const;
   Route compute_route(const std::string& from, const std::string& to) const;
 
   sim::Simulation& sim_;
   FluidNetwork fluid_;
-  std::map<std::string, bool> sites_;
+  std::map<std::string, std::uint32_t> sites_;  // name -> dense site id
   std::map<std::string, std::unique_ptr<Host>> hosts_;
   std::map<std::string, std::unique_ptr<Link>> links_;
-  mutable std::map<std::pair<std::string, std::string>, Route> route_cache_;
+  // Routes by [from site id * site count + to site id], computed on first
+  // use; emptied whenever a link or a link's loss changes.
+  mutable std::vector<std::optional<Route>> route_cache_;
 
   // Intra-host / intra-site hop costs.
   static constexpr SimDuration kLocalLatency = 50 * common::kMicrosecond;

@@ -19,6 +19,15 @@ Simulation::Simulation(std::uint64_t seed) : rng_(seed) {
   });
 }
 
+Simulation::~Simulation() {
+  // Events a destroyed capture schedules land in queue_ again, and go the
+  // same way on the next pass.
+  while (!queue_.empty()) {
+    std::vector<Event> pending = std::move(queue_);
+    queue_.clear();
+  }
+}
+
 void Simulation::push_event(Event event) {
   queue_.push_back(std::move(event));
   std::push_heap(queue_.begin(), queue_.end(), fires_later);

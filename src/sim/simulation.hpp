@@ -78,6 +78,10 @@ class EventHandle {
 class Simulation {
  public:
   explicit Simulation(std::uint64_t seed = 1);
+  /// Destroys the pending events first, while the whole kernel is still
+  /// alive: a destructor reached from an event's captures may end a span,
+  /// record a metric, or schedule and cancel events.
+  ~Simulation();
 
   Simulation(const Simulation&) = delete;
   Simulation& operator=(const Simulation&) = delete;

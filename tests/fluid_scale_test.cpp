@@ -1,10 +1,12 @@
-// Tests for the dense incremental fluid solver: rate-vector equivalence
-// against the retained reference water-filling implementation on randomized
+// Tests for the dense incremental fluid solver: exact rate-vector equality
+// with the retained reference water-filling implementation on randomized
 // topologies under churn (cap changes, resource down/up, flow additions,
-// capacity and background edits), the steady-state fast path (poll ticks
-// must never invoke the solver), mutation coalescing, and the per-resource
-// flow counts (idle-resource edits solve nothing; a resource's usage clears
-// when its last flow leaves).
+// capacity and background edits) and on the shapes the per-resource rounds
+// special-case (a resource listed twice on one path, a resource down at the
+// first solve, multi-round solves with equal shares), the steady-state fast
+// path (poll ticks must never invoke the solver), mutation coalescing, and
+// the per-resource flow counts (idle-resource edits solve nothing; a
+// resource's usage clears when its last flow leaves).
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -37,11 +39,40 @@ struct TransferMirror {
   std::vector<FlowMirror> flows;
 };
 
-double rate_tolerance(double reference_rate) {
-  // The two solvers perform the same arithmetic in the same order, so the
-  // results should agree to the last bit; allow 1e-6 absolute plus a
-  // relative term for the multi-MB/s range.
-  return 1e-6 + 1e-9 * std::abs(reference_rate);
+// The dense solver's rates equal the reference solver's to the last bit:
+// both add the same delta to a resource's usage once per unfrozen flow
+// crossing it, in a different order but from the same start.
+void expect_reference_rates(en::FluidNetwork& fluid,
+                            const std::vector<TransferMirror>& mirrors) {
+  fluid.update();
+  std::vector<en::ReferenceFlow> ref;
+  for (const auto& m : mirrors) {
+    for (const auto& f : m.flows) {
+      ref.push_back(en::ReferenceFlow{f.path, f.cap, 0.0});
+    }
+  }
+  en::reference_waterfill(ref);
+  std::size_t k = 0;
+  for (const auto& m : mirrors) {
+    for (std::size_t j = 0; j < m.flows.size(); ++j, ++k) {
+      const double dense = fluid.flow_rate(m.id, j);
+      ASSERT_TRUE(std::isfinite(dense));
+      ASSERT_EQ(dense, ref[k].rate) << "transfer " << m.id << " flow " << j;
+    }
+  }
+}
+
+TransferMirror start_mirrored(en::FluidNetwork& fluid,
+                              std::vector<FlowMirror> flows) {
+  TransferMirror m;
+  std::vector<en::FlowSpec> specs;
+  for (auto& fm : flows) {
+    specs.push_back(en::FlowSpec{fm.path, fm.cap});
+    m.flows.push_back(std::move(fm));
+  }
+  // Unbounded: the population must stay stable across the whole scenario.
+  m.id = fluid.start_transfer(std::move(specs), en::kUnboundedBytes, {});
+  return m;
 }
 
 }  // namespace
@@ -78,41 +109,15 @@ TEST_P(FluidEquivalence, DenseSolverMatchesReferenceUnderChurn) {
   std::vector<TransferMirror> mirrors;
   const int n_transfers = 2 + static_cast<int>(rng.uniform_int(14));
   for (int i = 0; i < n_transfers; ++i) {
-    TransferMirror m;
+    std::vector<FlowMirror> flows;
     const int n_flows = 1 + static_cast<int>(rng.uniform_int(3));
-    std::vector<en::FlowSpec> specs;
     for (int j = 0; j < n_flows; ++j) {
-      FlowMirror fm{random_path(), random_cap()};
-      specs.push_back(en::FlowSpec{fm.path, fm.cap});
-      m.flows.push_back(std::move(fm));
+      flows.push_back({random_path(), random_cap()});
     }
-    // Unbounded: the population must stay stable across the whole scenario.
-    m.id = fluid.start_transfer(std::move(specs), en::kUnboundedBytes, {});
-    mirrors.push_back(std::move(m));
+    mirrors.push_back(start_mirrored(fluid, std::move(flows)));
   }
 
-  auto check_equivalence = [&] {
-    fluid.update();
-    std::vector<en::ReferenceFlow> ref;
-    for (const auto& m : mirrors) {
-      for (const auto& f : m.flows) {
-        ref.push_back(en::ReferenceFlow{f.path, f.cap, 0.0});
-      }
-    }
-    en::reference_waterfill(ref);
-    std::size_t k = 0;
-    for (const auto& m : mirrors) {
-      for (std::size_t j = 0; j < m.flows.size(); ++j, ++k) {
-        const double dense = fluid.flow_rate(m.id, j);
-        const double reference = ref[k].rate;
-        ASSERT_TRUE(std::isfinite(dense));
-        EXPECT_NEAR(dense, reference, rate_tolerance(reference))
-            << "transfer " << m.id << " flow " << j;
-      }
-    }
-  };
-
-  check_equivalence();
+  ASSERT_NO_FATAL_FAILURE(expect_reference_rates(fluid, mirrors));
 
   for (int round = 0; round < 6; ++round) {
     switch (rng.uniform_int(6)) {
@@ -153,7 +158,7 @@ TEST_P(FluidEquivalence, DenseSolverMatchesReferenceUnderChurn) {
         break;
       }
     }
-    check_equivalence();
+    ASSERT_NO_FATAL_FAILURE(expect_reference_rates(fluid, mirrors));
   }
 }
 
@@ -387,48 +392,20 @@ TEST_P(FluidComponentChurn, EquivalenceUnderMergeSplitChurn) {
   };
 
   std::vector<TransferMirror> mirrors;
-  auto start_mirrored = [&](std::vector<FlowMirror> flows) {
-    TransferMirror m;
-    std::vector<en::FlowSpec> specs;
-    for (auto& fm : flows) {
-      specs.push_back(en::FlowSpec{fm.path, fm.cap});
-      m.flows.push_back(std::move(fm));
-    }
-    m.id = fluid.start_transfer(std::move(specs), en::kUnboundedBytes, {});
-    mirrors.push_back(std::move(m));
+  auto start = [&](std::vector<FlowMirror> flows) {
+    mirrors.push_back(start_mirrored(fluid, std::move(flows)));
   };
 
   for (int i = 0; i < kIslands; ++i) {
-    start_mirrored({{island_path(i), random_cap()}});
-    start_mirrored({{island_path(i), random_cap()}, {island_path(i), random_cap()}});
+    start({{island_path(i), random_cap()}});
+    start({{island_path(i), random_cap()}, {island_path(i), random_cap()}});
   }
-
-  auto check_equivalence = [&] {
-    fluid.update();
-    std::vector<en::ReferenceFlow> ref;
-    for (const auto& m : mirrors) {
-      for (const auto& f : m.flows) {
-        ref.push_back(en::ReferenceFlow{f.path, f.cap, 0.0});
-      }
-    }
-    en::reference_waterfill(ref);
-    std::size_t k = 0;
-    for (const auto& m : mirrors) {
-      for (std::size_t j = 0; j < m.flows.size(); ++j, ++k) {
-        const double dense = fluid.flow_rate(m.id, j);
-        const double reference = ref[k].rate;
-        ASSERT_TRUE(std::isfinite(dense));
-        ASSERT_NEAR(dense, reference, rate_tolerance(reference))
-            << "transfer " << m.id << " flow " << j;
-      }
-    }
-  };
-  check_equivalence();
+  ASSERT_NO_FATAL_FAILURE(expect_reference_rates(fluid, mirrors));
 
   for (int round = 0; round < 10; ++round) {
     switch (rng.uniform_int(6)) {
       case 0: {  // start an island-local transfer
-        start_mirrored({{island_path(rng.uniform_int(kIslands)), random_cap()}});
+        start({{island_path(rng.uniform_int(kIslands)), random_cap()}});
         break;
       }
       case 1: {  // start a bridge transfer welding two islands
@@ -437,7 +414,7 @@ TEST_P(FluidComponentChurn, EquivalenceUnderMergeSplitChurn) {
                       kIslands;
         auto path = island_path(i);
         for (const auto* r : island_path(j)) path.push_back(r);
-        start_mirrored({{std::move(path), random_cap()}});
+        start({{std::move(path), random_cap()}});
         break;
       }
       case 2: {  // cancel a random transfer (a bridge, perhaps)
@@ -467,9 +444,104 @@ TEST_P(FluidComponentChurn, EquivalenceUnderMergeSplitChurn) {
         break;
       }
     }
-    check_equivalence();
+    ASSERT_NO_FATAL_FAILURE(expect_reference_rates(fluid, mirrors));
   }
 }
 
 INSTANTIATE_TEST_SUITE_P(RandomChurn, FluidComponentChurn,
                          ::testing::Range(1, 31));
+
+// ---------- the shapes the per-resource rounds special-case ----------
+
+TEST(FluidExact, PathListingOneResourceTwiceCountsItTwice) {
+  // A flow that crosses `loop` twice adds its rate to it twice, in round 1's
+  // per-count sums and in later rounds alike.
+  es::Simulation sim;
+  en::FluidNetwork fluid(sim);
+  auto* loop = fluid.add_resource("loop", 3'000'001);
+  auto* side = fluid.add_resource("side", 700'003);
+  auto* wide = fluid.add_resource("wide", 9'999'991);
+  std::vector<TransferMirror> mirrors;
+  mirrors.push_back(start_mirrored(
+      fluid, {{{loop, wide, loop}, en::kUnlimitedRate},
+              {{loop, side}, en::kUnlimitedRate}}));
+  mirrors.push_back(start_mirrored(
+      fluid, {{{wide, loop, wide, loop}, en::kUnlimitedRate}}));
+  mirrors.push_back(start_mirrored(fluid, {{{side, side}, 123'457.0}}));
+  ASSERT_NO_FATAL_FAILURE(expect_reference_rates(fluid, mirrors));
+  // `side` freezes the second flow first; the two flows that cross `loop`
+  // twice then fill the rest of it equally.
+  EXPECT_NEAR(loop->utilization(), 1.0, 1e-9);
+  const double twice = fluid.flow_rate(mirrors[1].id, 0);
+  EXPECT_EQ(fluid.flow_rate(mirrors[0].id, 0), twice);
+  EXPECT_LT(fluid.flow_rate(mirrors[0].id, 1), twice);
+
+  mirrors[0].flows[1].cap = 250'000.0;
+  fluid.set_flow_cap(mirrors[0].id, 1, 250'000.0);
+  ASSERT_NO_FATAL_FAILURE(expect_reference_rates(fluid, mirrors));
+}
+
+TEST(FluidExact, ResourceDownAtTheFirstSolve) {
+  // A down resource offers no room: round 1's delta is 0, its flows freeze
+  // at 0, and the rest fill from 0 in the rounds after.
+  es::Simulation sim;
+  en::FluidNetwork fluid(sim);
+  auto* dead = fluid.add_resource("dead", 5'000'000);
+  auto* live = fluid.add_resource("live", 1'234'567);
+  fluid.set_down(dead, true);
+  std::vector<TransferMirror> mirrors;
+  mirrors.push_back(start_mirrored(
+      fluid, {{{dead, live}, en::kUnlimitedRate},
+              {{live}, en::kUnlimitedRate},
+              {{live}, 300'001.0}}));
+  mirrors.push_back(start_mirrored(fluid, {{{live}, en::kUnlimitedRate}}));
+  ASSERT_NO_FATAL_FAILURE(expect_reference_rates(fluid, mirrors));
+  EXPECT_EQ(fluid.flow_rate(mirrors[0].id, 0), 0.0);
+  EXPECT_GT(fluid.flow_rate(mirrors[1].id, 0), 0.0);
+
+  fluid.set_down(dead, false);
+  ASSERT_NO_FATAL_FAILURE(expect_reference_rates(fluid, mirrors));
+  EXPECT_GT(fluid.flow_rate(mirrors[0].id, 0), 0.0);
+}
+
+TEST(FluidExact, MultiRoundSolvesWithEqualShares) {
+  // Caps and bottlenecks staggered so each solve runs several rounds, with
+  // many flows per resource: every round after the first adds the round's
+  // delta to a non-zero usage once per unfrozen flow crossing it.
+  es::Simulation sim;
+  en::FluidNetwork fluid(sim);
+  std::vector<en::Resource*> tier;
+  for (int i = 0; i < 4; ++i) {
+    tier.push_back(fluid.add_resource("tier" + std::to_string(i),
+                                      1'000'003.0 * (i + 1) / 3.0));
+  }
+  auto* core = fluid.add_resource("core", 7'654'321.0 / 7.0);
+  std::vector<TransferMirror> mirrors;
+  for (int i = 0; i < 4; ++i) {
+    std::vector<FlowMirror> flows;
+    for (int j = 0; j < 5; ++j) {
+      const en::Rate cap =
+          j == 0 ? 10'007.0 * (i + 1) / 3.0 : en::kUnlimitedRate;
+      flows.push_back({{tier[static_cast<std::size_t>(i)], core}, cap});
+    }
+    flows.push_back({{tier[static_cast<std::size_t>(i)]}, en::kUnlimitedRate});
+    mirrors.push_back(start_mirrored(fluid, std::move(flows)));
+  }
+  ASSERT_NO_FATAL_FAILURE(expect_reference_rates(fluid, mirrors));
+  // The narrowest tier saturates first and the core next: a tier's
+  // uncapped core flows share equally, and its local flow gets no less.
+  for (const auto& m : mirrors) {
+    const double share = fluid.flow_rate(m.id, 1);
+    EXPECT_GT(share, fluid.flow_rate(m.id, 0));
+    for (std::size_t j = 2; j < 5; ++j) {
+      EXPECT_EQ(fluid.flow_rate(m.id, j), share);
+    }
+    EXPECT_GE(fluid.flow_rate(m.id, 5), share);
+  }
+  EXPECT_LT(fluid.flow_rate(mirrors[0].id, 1),
+            fluid.flow_rate(mirrors[3].id, 1));
+
+  // Widen the core: the tiers bind instead, in more rounds.
+  fluid.set_capacity(core, 50'000'000);
+  ASSERT_NO_FATAL_FAILURE(expect_reference_rates(fluid, mirrors));
+}

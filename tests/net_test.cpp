@@ -266,6 +266,60 @@ TEST(Fluid, CancelFromCallbackStopsQueuedProgress) {
   EXPECT_FALSE(fluid.transfer_active(self));
 }
 
+TEST(Fluid, NoticesStayInIdOrderAfterMidListCancelAndCallbackStart) {
+  // Four watched transfers share a poll tick.  On the first tick, the first
+  // one's callback cancels the second (mid-list) and starts a fifth, so the
+  // live list loses a middle entry and gains a tail one inside a touch.
+  // Every later tick must notify the survivors, then the newcomer, in id
+  // order, and every id must still resolve.
+  es::Simulation sim;
+  en::FluidNetwork fluid(sim, 100 * kMillisecond);
+  auto* r = fluid.add_resource("pipe", 4'000'000);
+  std::vector<ec::SimTime> tick_times;
+  std::vector<std::vector<en::TransferId>> ticks;  // notified ids, per tick
+  auto note = [&](en::TransferId id, ec::SimTime now) {
+    if (tick_times.empty() || tick_times.back() != now) {
+      tick_times.push_back(now);
+      ticks.emplace_back();
+    }
+    ticks.back().push_back(id);
+  };
+  std::vector<en::TransferId> ids(4, 0);
+  en::TransferId late = 0;
+  auto watched = [&](std::size_t k) {
+    return en::TransferCallbacks{
+        [&, k](ec::Bytes, ec::SimTime now) {
+          note(ids[k], now);
+          if (k != 0 || late != 0) return;
+          fluid.cancel_transfer(ids[1]);
+          late = fluid.start_transfer(
+              {en::FlowSpec{{r}, en::kUnlimitedRate}}, en::kUnboundedBytes,
+              {[&](ec::Bytes, ec::SimTime at) { note(late, at); }, nullptr});
+        },
+        nullptr};
+  };
+  for (std::size_t k = 0; k < ids.size(); ++k) {
+    ids[k] = fluid.start_transfer({en::FlowSpec{{r}, en::kUnlimitedRate}},
+                                  en::kUnboundedBytes, watched(k));
+  }
+  sim.run_until(1 * kSecond);
+
+  ASSERT_NE(late, 0u);
+  ASSERT_GE(ticks.size(), 5u);
+  // The first tick: the second transfer's queued notice is dropped.
+  EXPECT_EQ(ticks[0], (std::vector<en::TransferId>{ids[0], ids[2], ids[3]}));
+  const std::vector<en::TransferId> after{ids[0], ids[2], ids[3], late};
+  for (std::size_t t = 1; t < ticks.size(); ++t) {
+    EXPECT_EQ(ticks[t], after) << "tick " << t;
+  }
+  EXPECT_FALSE(fluid.transfer_active(ids[1]));
+  EXPECT_EQ(fluid.active_transfers(), 4u);
+  for (const en::TransferId id : after) {
+    EXPECT_TRUE(fluid.transfer_active(id));
+    EXPECT_DOUBLE_EQ(fluid.current_rate(id), 1'000'000.0);
+  }
+}
+
 TEST(Fluid, ZeroByteTransferCompletesImmediately) {
   es::Simulation sim;
   en::FluidNetwork fluid(sim);
@@ -380,6 +434,25 @@ TEST(Topology, RttIsTwicePathLatency) {
   TwoSite w;
   EXPECT_GE(w.net.rtt(*w.src, *w.dst), 20 * kMillisecond);
   EXPECT_LT(w.net.rtt(*w.src, *w.dst), 21 * kMillisecond);
+
+  // Every kind of host pair: same host, same site, across a link, and
+  // unreachable.
+  es::Simulation sim;
+  en::Network net(sim);
+  for (const char* s : {"a", "b", "c"}) net.add_site(s);
+  net.add_link({.name = "ab", .site_a = "a", .site_b = "b",
+                .latency = 7 * kMillisecond});
+  const std::vector<en::Host*> hosts{
+      net.add_host({.name = "a1", .site = "a"}),
+      net.add_host({.name = "a2", .site = "a"}),
+      net.add_host({.name = "b1", .site = "b"}),
+      net.add_host({.name = "c1", .site = "c"})};
+  for (const en::Host* x : hosts) {
+    for (const en::Host* y : hosts) {
+      EXPECT_EQ(net.rtt(*x, *y), 2 * net.path(*x, *y, false).latency)
+          << x->name() << " -> " << y->name();
+    }
+  }
 }
 
 TEST(Topology, MultiHopRoutePrefersLowLatency) {
@@ -411,6 +484,31 @@ TEST(Topology, UnreachableSiteGivesDownPath) {
   auto* hx = net.add_host({.name = "hx", .site = "x"});
   auto* hy = net.add_host({.name = "hy", .site = "y"});
   EXPECT_FALSE(net.path(*hx, *hy).up);
+}
+
+TEST(Topology, RoutesFollowSitesAndLinksAddedLater) {
+  es::Simulation sim;
+  en::Network net(sim);
+  net.add_site("a");
+  net.add_site("b");
+  net.add_link({.name = "ab", .site_a = "a", .site_b = "b",
+                .latency = 10 * kMillisecond});
+  auto* ha = net.add_host({.name = "ha", .site = "a"});
+  auto* hb = net.add_host({.name = "hb", .site = "b"});
+  EXPECT_TRUE(net.path(*ha, *hb).up);
+  // A third site re-lays the route cache; the cached a -> b route survives
+  // as a fresh computation, and c is unreachable until it is linked.
+  net.add_site("c");
+  auto* hc = net.add_host({.name = "hc", .site = "c"});
+  EXPECT_EQ(net.rtt(*ha, *hb), 2 * net.path(*ha, *hb).latency);
+  EXPECT_FALSE(net.path(*ha, *hc).up);
+  net.add_link({.name = "bc", .site_a = "b", .site_b = "c",
+                .latency = 10 * kMillisecond});
+  const auto info = net.path(*ha, *hc);
+  EXPECT_TRUE(info.up);
+  // Disk, CPU and NIC at each end, and the two links.
+  EXPECT_EQ(info.resources.size(), 8u);
+  EXPECT_EQ(net.path(*hc, *ha).resources[3], net.find_link("bc")->backward());
 }
 
 TEST(Topology, SameHostPathIsLocal) {

@@ -1,6 +1,6 @@
 // Unit tests for the discrete-event kernel (event order, cancellation, the
 // lazily-cancelled-event purge, a randomized queue property against a
-// reference model) and failure scheduling.
+// reference model), failure scheduling, and kernel teardown.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -423,6 +423,29 @@ TEST(SimulationQueue, PurgeWorkStaysLinearUnderCancelStorms) {
   std::uint64_t fired_before = sim.events_fired();
   sim.run();
   EXPECT_EQ(sim.events_fired(), fired_before + 100);
+}
+
+// ---------- teardown ----------
+
+TEST(SimulationTeardown, PendingEventMayEndASpanWhenTheKernelDies) {
+  // A pending event holds the only reference to an object with an open
+  // span.  Destroying the kernel destroys the event, and with it the
+  // object: its span ends on a live tracer, and its destructor may still
+  // schedule and cancel events.
+  struct Holder {
+    es::Simulation* sim = nullptr;
+    esg::obs::Span span;
+    ~Holder() { sim->schedule_after(kSecond, [] {}).cancel(); }
+  };
+  auto sim = std::make_unique<es::Simulation>();
+  auto holder = std::make_shared<Holder>();
+  holder->sim = sim.get();
+  holder->span = sim->tracer().span("teardown.pending", "sim");
+  const std::weak_ptr<Holder> watch = holder;
+  sim->schedule_after(kSecond, [holder = std::move(holder)] { (void)holder; });
+  EXPECT_FALSE(watch.expired());
+  sim.reset();
+  EXPECT_TRUE(watch.expired());
 }
 
 // ---------- failure schedule ----------
